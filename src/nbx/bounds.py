@@ -255,21 +255,12 @@ def best_bounds(k: int, d: int) -> BoundsEntry:
     return BoundsEntry(k, d, lower, upper)
 
 
-def bounds_table(kmax: int, dmax: int, threads: int = 1) -> list[BoundsEntry]:
-    """All cells with 1 <= k <= min(d, kmax) and k <= d <= dmax.
-
-    Cells are independent, so they may be computed on a thread pool; the
-    output order (and content) does not depend on the thread count.
-    """
+def bounds_table(kmax: int, dmax: int) -> list[BoundsEntry]:
+    """All cells with 1 <= k <= min(d, kmax) and k <= d <= dmax, ordered by
+    d, then k."""
     if kmax < 1 or dmax < 1:
         raise ValueError("kmax and dmax must be positive")
-    cells = [(k, d) for d in range(1, dmax + 1) for k in range(1, min(d, kmax) + 1)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda kd: best_bounds(*kd), cells))
-    return [best_bounds(k, d) for k, d in cells]
+    return [best_bounds(k, d) for d in range(1, dmax + 1) for k in range(1, min(d, kmax) + 1)]
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from . import biclique, bounds, constructions, families, search
-
-
-def _thread_count() -> int:
-    """Worker threads for grid computations, from NBX_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("NBX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read_text(path: str) -> str:
@@ -119,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--no-joker-prune", action="store_true")
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every maximum family")
     p.add_argument("--force", action="store_true", help="lift the candidate-count capacity")
@@ -205,7 +195,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    entries = bounds.bounds_table(args.kmax, args.dmax, threads=_thread_count())
+    entries = bounds.bounds_table(args.kmax, args.dmax)
     fmt = _table_format(args)
     if fmt == "json":
         _emit_json([e.as_dict() for e in entries])
@@ -259,9 +249,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    findings = bounds.pascal_audit(
-        bounds.bounds_table(args.kmax, args.dmax, threads=_thread_count())
-    )
+    findings = bounds.pascal_audit(bounds.bounds_table(args.kmax, args.dmax))
     fmt = _table_format(args)
     if fmt == "json":
         _emit_json([f.as_dict() for f in findings])

@@ -17,6 +17,11 @@ family contains one: splitting its joker into a twin pair gives a strictly
 larger family); the toggle exists so the claim can be tested empirically.
 Optional symmetry fixing roots one subsearch per joker-count orbit of the
 coordinate-permutation / 0-1-swap group.
+
+Optimizing and enumerating share one walk, ``_Engine.expand``.  They differ
+only in what happens at a clique one larger than ``best``: the optimizer
+raises ``best``; the enumerator holds ``best`` at the proven optimum minus
+one and records the clique, so every prune serves both modes.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ class SearchConfig:
     budget_secs: Optional[float] = None
     joker_prune: bool = True
     symmetry: bool = True
-    deterministic: bool = True
     max_candidates: int = 60_000
     use_bounds_cutoff: bool = True
     seed_incumbent: bool = True
@@ -104,14 +108,15 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Branch-and-bound state over one ordered candidate list."""
 
-    def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, budget_secs):
+    def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, budget_secs, start):
         self.adj = adj
         self.vols = vols
         self.cube_volume = cube_volume
         self.cutoff = cutoff
         self.budget_nodes = budget_nodes
         self.budget_secs = budget_secs
-        self.start = time.monotonic()
+        # time.monotonic() at search entry, so budget_secs covers every phase
+        self.start = start
         self.nodes = 0
         self.best = 0
         self.witness: list[int] = []
@@ -181,9 +186,8 @@ class _Engine:
             return
         if depth + self._volume_room(pool, self.cube_volume - used_volume) <= self.best:
             return
-        order = self._color_order(pool)
-        adj = self.adj
-        for v, c in reversed(order):
+        adj, vols, expand = self.adj, self.vols, self.expand
+        for v, c in reversed(self._color_order(pool)):
             if depth + c <= self.best:
                 return
             sub = pool & adj[v]
@@ -191,9 +195,27 @@ class _Engine:
             if depth + 1 > self.best:
                 self._improve(stack)
             if sub:
-                self.expand(stack, sub, used_volume + self.vols[v])
+                expand(stack, sub, used_volume + vols[v])
             stack.pop()
             pool &= ~(1 << v)
+
+
+class _Enumerator(_Engine):
+    """Fixed-target mode of the walk: ``best`` stays at ``target - 1`` and
+    every clique of size ``target`` is recorded.  ``target`` must be the
+    clique number, so a recorded clique has no common neighbours left and
+    the walk never goes deeper than it."""
+
+    def __init__(self, adj, vols, cube_volume, target, cap, budget_nodes, budget_secs, start):
+        super().__init__(adj, vols, cube_volume, target, budget_nodes, budget_secs, start)
+        self.best = target - 1
+        self.cap = cap
+        self.found: list[tuple[int, ...]] = []
+
+    def _improve(self, stack: list[int]):
+        self.found.append(tuple(stack))
+        if len(self.found) > self.cap:
+            raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
 def _build_graph(strings: list[TernaryString], k: int):
@@ -232,6 +254,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     """
     if not 1 <= k <= d:
         raise ValueError("requires 1 <= k <= d")
+    start = time.monotonic()
     cfg = cfg or SearchConfig()
     strings = _candidates(k, d, cfg.joker_prune)
     if len(strings) > cfg.max_candidates:
@@ -243,11 +266,11 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     vols = [1 << s.jokers for s in ordered]
     cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
 
-    engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs)
+    engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs, start)
     stopped = "complete"
     try:
         if cfg.seed_incumbent:
-            _seed(engine, index_of, adj, k, d)
+            _seed(engine, index_of, k, d)
         if cfg.symmetry:
             full = (1 << len(ordered)) - 1
             max_jokers = d - k if cfg.joker_prune else d
@@ -278,7 +301,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     proven = stopped in ("complete", "cutoff")
     stats = {
         "nodes": engine.nodes,
-        "elapsed_secs": time.monotonic() - engine.start,
+        "elapsed_secs": time.monotonic() - start,
         "candidates": len(ordered),
         "upper_cutoff": cutoff if cfg.use_bounds_cutoff else None,
         "stopped": stopped,
@@ -288,12 +311,12 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     return SearchResult(k, d, engine.best, witness, proven, stats)
 
 
-def _seed(engine: _Engine, index_of, adj, k: int, d: int) -> None:
+def _seed(engine: _Engine, index_of, k: int, d: int) -> None:
     """Warm-start the incumbent with the best constructed family, when it
     maps onto the candidate set."""
     try:
         constructed = realize_mbar(k, d)
-    except (ValueError, AssertionError):
+    except ValueError:
         return
     idxs = []
     for m in constructed.members:
@@ -310,51 +333,29 @@ def enumerate_max_families(
 ) -> list[Family]:
     """Every maximum k-neighborly family in dimension d, as member sets.
 
-    Runs the optimizer first (it must prove the optimum), then re-walks the
-    search space keeping all branches that can still reach the optimum.
-    Symmetry fixing is ignored here: representatives only would be found.
+    Runs the optimizer first (it must prove the optimum), then re-runs the
+    same walk in fixed-target mode over the whole candidate set, recording
+    every clique of the proven size.  Symmetry fixing is ignored here:
+    representatives only would be found.  ``budget_secs`` counts from
+    entry, so it covers both runs.
     """
+    start = time.monotonic()
     cfg = cfg or SearchConfig()
     base = max_family(k, d, cfg)
     if not base.proven_optimal:
         raise RuntimeError("optimum not proven within budget; cannot enumerate")
-    target = base.optimum
     strings = _candidates(k, d, cfg.joker_prune)
     ordered, adj = _build_graph(strings, k)
     vols = [1 << s.jokers for s in ordered]
-    engine = _Engine(adj, vols, 1 << d, (1 << d) + 1, cfg.budget_nodes, cfg.budget_secs)
-    found: list[tuple[int, ...]] = []
-
-    def walk(stack: list[int], pool: int, used_volume: int):
-        engine._tick()
-        if len(stack) == target:
-            found.append(tuple(stack))
-            if len(found) > cap:
-                raise EnumerationCapExceeded(f"more than {cap} maximum families")
-            return
-        need = target - len(stack)
-        if pool.bit_count() < need:
-            return
-        if engine._volume_room(pool, engine.cube_volume - used_volume) < need:
-            return
-        order = engine._color_order(pool)
-        if order and order[-1][1] < need:
-            return
-        for v, c in reversed(order):
-            if c < need:
-                return
-            sub = pool & adj[v]
-            stack.append(v)
-            walk(stack, sub, used_volume + vols[v])
-            stack.pop()
-            pool &= ~(1 << v)
-
+    engine = _Enumerator(
+        adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, cfg.budget_secs, start
+    )
     try:
-        walk([], (1 << len(ordered)) - 1, 0)
+        engine.expand([], (1 << len(ordered)) - 1, 0)
     except _BudgetExhausted as exc:
         raise RuntimeError(f"enumeration stopped by {exc.reason} before completing") from None
     families = []
-    for idxs in sorted(sorted(t) for t in found):
+    for idxs in sorted(sorted(t) for t in engine.found):
         members = tuple(sorted((ordered[i] for i in idxs), key=str))
         families.append(Family(d, members))
     return families

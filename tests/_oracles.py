@@ -63,6 +63,33 @@ def max_clique_size(adj: list[int]) -> int:
     return best
 
 
+def all_max_cliques(adj: list[int]) -> list[tuple[int, ...]]:
+    """Every maximum clique as an ascending vertex tuple, in sorted order.
+    Plain recursion: each clique grows by higher-numbered common neighbours
+    only, cut when even taking every remaining candidate cannot reach the
+    largest size seen (no coloring, no volume prune)."""
+    best: list[tuple[int, ...]] = []
+    size = 0
+
+    def grow(clique: list[int], cand: int):
+        nonlocal size
+        if len(clique) > size:
+            size = len(clique)
+            best.clear()
+        if len(clique) == size:
+            best.append(tuple(clique))
+        while cand and len(clique) + cand.bit_count() >= size:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            clique.append(v)
+            grow(clique, cand & adj[v])
+            clique.pop()
+
+    grow([], (1 << len(adj)) - 1)
+    return sorted(best)
+
+
 def brute_force_clique_size(adj: list[int]) -> int:
     """Exhaustive subset scan; only for very small graphs."""
     n = len(adj)

@@ -127,7 +127,7 @@ class TestSearchCommand:
 
     def test_search_flags(self, capsys):
         assert run(["search", "1", "3", "--no-joker-prune", "--no-symmetry",
-                    "--deterministic", "--budget-nodes", "100000"]) == 0
+                    "--budget-nodes", "100000"]) == 0
         data = json.loads(out_of(capsys))
         assert data["optimum"] == 4
 
@@ -213,20 +213,6 @@ class TestUsage:
 
     def test_no_command(self):
         assert run([]) == 2
-
-
-class TestThreadEnv:
-    def test_table_identical_across_thread_counts(self, capsys, monkeypatch):
-        monkeypatch.setenv("NBX_THREADS", "1")
-        assert run(["table", "--kmax", "5", "--dmax", "6", "--tsv"]) == 0
-        single = out_of(capsys)
-        monkeypatch.setenv("NBX_THREADS", "4")
-        assert run(["table", "--kmax", "5", "--dmax", "6", "--tsv"]) == 0
-        assert out_of(capsys) == single
-
-    def test_garbage_value_falls_back(self, capsys, monkeypatch):
-        monkeypatch.setenv("NBX_THREADS", "many")
-        assert run(["table", "--kmax", "2", "--dmax", "2", "--tsv"]) == 0
 
 
 class TestConstructVerifyPipeline:

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from dataclasses import replace
 from math import comb
 
@@ -18,9 +19,10 @@ from nbx import (
     verify_certificate,
     verify_neighborly,
 )
-from nbx.search import _Engine
+from nbx import search
+from nbx.search import _Engine, _Enumerator
 
-from _oracles import brute_force_clique_size
+from _oracles import all_max_cliques, brute_force_clique_size, sym_distance
 
 
 def candidate_count(k, d):
@@ -59,9 +61,15 @@ class TestEngineAgainstBruteForce:
                     if rng.random() < p:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None)
+            start = time.monotonic()
+            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None, start)
             engine.expand([], (1 << n) - 1, 0)
-            assert engine.best == brute_force_clique_size(adj), (trial, n, p)
+            omega = brute_force_clique_size(adj)
+            assert engine.best == omega, (trial, n, p)
+            # fixed-target mode of the same walk finds every maximum clique
+            enum = _Enumerator(adj, [1] * n, 1 << 30, omega, 1 << 30, None, None, start)
+            enum.expand([], (1 << n) - 1, 0)
+            assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
 
 
 KNOWN = {
@@ -120,6 +128,24 @@ class TestMaxFamily:
         assert 1 <= result.optimum <= 12
         assert verify_neighborly(result.witness, 2).is_valid
 
+    def test_time_budget_counts_from_entry(self, monkeypatch):
+        # a clock that jumps past the budget while the graph is built: the
+        # walk must stop on the budget rather than run to completion
+        clock = [0.0]
+        monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
+        build = search._build_graph
+
+        def slow_build(strings, k):
+            clock[0] += 10.0
+            return build(strings, k)
+
+        monkeypatch.setattr(search, "_build_graph", slow_build)
+        cfg = SearchConfig(budget_secs=5.0, use_bounds_cutoff=False, seed_incumbent=False)
+        result = max_family(2, 5, cfg)
+        assert result.stats["stopped"] == "time-budget"
+        assert not result.proven_optimal
+        assert result.stats["elapsed_secs"] == 10.0
+
     def test_capacity_guard(self):
         cfg = SearchConfig(max_candidates=10)
         with pytest.raises(CapacityExceeded):
@@ -172,6 +198,23 @@ class TestEnumerateMaxFamilies:
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_max_families(2, 3, cap=1)
+
+    def test_matches_oracle(self):
+        # every maximum clique of the candidate graph, built from symbol-level
+        # distances and found by a plain recursion, is an enumerated family
+        for (k, d), count in {(1, 3): 46, (2, 3): 12, (1, 4): 1296, (2, 4): 48,
+                              (3, 4): 384}.items():
+            cands = [str(s) for s in enumerate_candidates(k, d)]
+            adj = [0] * len(cands)
+            for i, a in enumerate(cands):
+                for j in range(i + 1, len(cands)):
+                    if 1 <= sym_distance(a, cands[j]) <= k:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            want = {frozenset(cands[i] for i in c) for c in all_max_cliques(adj)}
+            fams = enumerate_max_families(k, d)
+            assert {frozenset(f.texts()) for f in fams} == want, (k, d)
+            assert len(fams) == count, (k, d)
 
     def test_unproven_base_rejected(self):
         cfg = SearchConfig(budget_nodes=5, use_bounds_cutoff=False, seed_incumbent=False,
