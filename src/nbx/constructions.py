@@ -8,9 +8,8 @@ k = d-1.  On top of the fragmented construction sit two optimizers:
 ``mbar_value`` maximizes products of fragmented families over all ways of
 splitting (k, d) into parts.
 
-Outputs are verified against their advertised neighborliness at
-construction time (skipped above ``VERIFY_LIMIT`` members, where the
-quadratic check would dominate the build).
+Every output is verified against its advertised neighborliness and size
+at construction time.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from typing import Iterator, Optional
 from .families import Family, verify_neighborly
 from .strings import TernaryString, all_jokers
 
-VERIFY_LIMIT = 4000
-
 # Compositions of the coordinate budget scanned per block count in
 # ``m_value``; the balanced split is always evaluated regardless.
 DEFAULT_COMPOSITION_CAP = 100_000
@@ -34,10 +31,9 @@ DEFAULT_COMPOSITION_CAP = 100_000
 def _checked(family: Family, k: int, expected_size: Optional[int] = None) -> Family:
     if expected_size is not None and len(family) != expected_size:
         raise AssertionError(f"construction produced {len(family)} members, expected {expected_size}")
-    if len(family) <= VERIFY_LIMIT:
-        report = verify_neighborly(family, k)
-        if not report.is_valid:
-            raise AssertionError(f"construction is not {k}-neighborly: {report.violations[:3]}")
+    report = verify_neighborly(family, k)
+    if not report.is_valid:
+        raise AssertionError(f"construction is not {k}-neighborly: {report.violations[:3]}")
     return family
 
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, verify_neighborly
+from .families import Family, _above, _distance_rows, _nonzero, verify_neighborly
 from .strings import TernaryString, all_strings
 
 
@@ -132,7 +132,8 @@ class _Engine:
         self.nodes += 1
         if self.budget_nodes is not None and self.nodes > self.budget_nodes:
             raise _BudgetExhausted("node-budget")
-        if self.budget_secs is not None and self.nodes & 1023 == 0:
+        # nodes 1, 1025, ...: a budget spent before the walk stops it at once
+        if self.budget_secs is not None and self.nodes & 1023 == 1:
             if time.monotonic() - self.start > self.budget_secs:
                 raise _BudgetExhausted("time-budget")
 
@@ -218,32 +219,24 @@ class _Enumerator(_Engine):
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
+def _adjacency(strings: list[TernaryString], k: int) -> Iterator[int]:
+    """Adjacency bitmask of each string: the strings at distance 1..k."""
+    full = (1 << len(strings)) - 1
+    zs = [s.zero_mask for s in strings]
+    os_ = [s.one_mask for s in strings]
+    for count in _distance_rows(zs, os_, strings[0].length):
+        yield _nonzero(count) & ~_above(count, k, full)
+
+
 def _build_graph(strings: list[TernaryString], k: int):
     """Order candidates (degree desc, jokers asc, text asc) and return the
     ordered strings with adjacency bitmasks."""
-    n = len(strings)
-    zs = [s.zero_mask for s in strings]
-    os_ = [s.one_mask for s in strings]
-    adj = [0] * n
-    for i in range(n):
-        zi, oi = zs[i], os_[i]
-        for j in range(i + 1, n):
-            dist = ((zi & os_[j]) | (oi & zs[j])).bit_count()
-            if 1 <= dist <= k:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    order = sorted(range(n), key=lambda i: (-adj[i].bit_count(), strings[i].jokers, str(strings[i])))
+    degrees = [row.bit_count() for row in _adjacency(strings, k)]
+    order = sorted(
+        range(len(strings)), key=lambda i: (-degrees[i], strings[i].jokers, str(strings[i]))
+    )
     ordered = [strings[i] for i in order]
-    pos = {old: new for new, old in enumerate(order)}
-    new_adj = [0] * n
-    for old_i, mask in enumerate(adj):
-        bits = 0
-        while mask:
-            low = mask & -mask
-            bits |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        new_adj[pos[old_i]] = bits
-    return ordered, new_adj
+    return ordered, list(_adjacency(ordered, k))
 
 
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
@@ -258,8 +251,10 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     cfg = cfg or SearchConfig()
     strings = _candidates(k, d, cfg.joker_prune)
     if len(strings) > cfg.max_candidates:
+        n = len(strings)
         raise CapacityExceeded(
-            f"{len(strings)} candidates exceed the configured capacity {cfg.max_candidates}"
+            f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
+            f" capacity {cfg.max_candidates}"
         )
     ordered, adj = _build_graph(strings, k)
     index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}

@@ -20,6 +20,8 @@ from nbx import (
     verify_neighborly,
     volume,
 )
+from nbx import TernaryString
+from nbx.constructions import _checked
 
 # Published reference row: best fragmented-construction sizes for k = 2,
 # dimensions 3..18.
@@ -182,6 +184,15 @@ class TestExtremal:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             extremal_dminus1(1)
+
+
+class TestChecked:
+    def test_large_invalid_family_is_rejected(self):
+        # binary words 0..4096 of length 13: one complementary pair,
+        # 4095 and 4096, is at distance 13
+        fam = Family(13, tuple(TernaryString(13, ~w & 0x1FFF, w) for w in range(4097)))
+        with pytest.raises(AssertionError, match=r"not 12-neighborly: \(\(4095, 4096, 13\),\)"):
+            _checked(fam, 12, 4097)
 
 
 class TestMValue:

@@ -1,0 +1,169 @@
+"""Differential tests of the bit-sliced distance kernel.
+
+Every family-wide pair check in the library runs through
+``families._distance_rows``; here each one is compared with a plain pair
+loop over ``_oracles.sym_distance`` on random families.  Member counts run
+up to 150 and lengths up to 80, so both the member bit-sets and the
+coordinate masks cross machine-word boundaries.  Hypothesis runs
+derandomized, so the examples are the same on every run.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from nbx import (
+    Family,
+    TernaryString,
+    diameter,
+    is_partition,
+    is_total_lamination,
+    verify_neighborly,
+)
+from nbx.families import _above, _distance_rows, _nonzero
+from nbx.search import _build_graph
+
+from _oracles import all_cube_partitions, sym_distance, twin_split_partition
+
+KERNEL = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+
+def random_words(rng: random.Random, n: int, d: int, joker_rate: float, binary: bool) -> list[str]:
+    """Up to n distinct words of length d (fewer when d is too small)."""
+    words: dict[str, None] = {}
+    for _ in range(4 * n):
+        if len(words) == n:
+            break
+        word = "".join(
+            rng.choice("01") if binary or rng.random() >= joker_rate else "*" for _ in range(d)
+        )
+        words.setdefault(word)
+    return list(words)
+
+
+@st.composite
+def random_families(draw, binary: bool = False):
+    # sizes on both sides of the 30-bit int digits and 64-bit words
+    d = draw(st.integers(1, 80) | st.sampled_from([30, 31, 64, 65, 80]))
+    n = draw(st.integers(1, 150) | st.sampled_from([60, 61, 64, 65, 128, 129, 150]))
+    joker_rate = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_words(random.Random(seed), n, d, joker_rate, binary)
+
+
+def oracle_distances(words: list[str]) -> list[list[int]]:
+    n = len(words)
+    dist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = sym_distance(words[i], words[j])
+    return dist
+
+
+def as_mask(bits) -> int:
+    return sum(1 << j for j in bits)
+
+
+@KERNEL
+@given(random_families())
+def test_counter_columns_and_every_k(words):
+    fam = Family.of(words)
+    d, n = fam.dimension, len(words)
+    dist = oracle_distances(words)
+    full = (1 << n) - 1
+    zs = [m.zero_mask for m in fam]
+    os_ = [m.one_mask for m in fam]
+    for i, count in enumerate(_distance_rows(zs, os_, d)):
+        assert len(count) == d.bit_length()
+        for j in range(n):
+            assert sum((s >> j & 1) << b for b, s in enumerate(count)) == dist[i][j]
+        assert _nonzero(count) == as_mask(j for j in range(n) if dist[i][j])
+        for k in range(1, d + 1):
+            assert _above(count, k, full) == as_mask(j for j in range(n) if dist[i][j] > k)
+
+
+@KERNEL
+@given(random_families(), st.data())
+def test_verify_neighborly(words, data):
+    fam = Family.of(words)
+    k = data.draw(st.integers(1, fam.dimension))
+    dist = oracle_distances(words)
+    pairs = [(i, j, dist[i][j]) for i in range(len(words)) for j in range(i + 1, len(words))]
+    report = verify_neighborly(fam, k)
+    assert list(report.violations) == [p for p in pairs if p[2] == 0 or p[2] > k]
+    assert report.is_valid == (not report.violations)
+    assert report.min_distance == min((p[2] for p in pairs), default=None)
+    assert report.max_distance == max((p[2] for p in pairs), default=None)
+
+
+@KERNEL
+@given(random_families(binary=True))
+def test_diameter(words):
+    dist = oracle_distances(words)
+    assert diameter(Family.of(words).members) == max(max(row) for row in dist)
+
+
+@KERNEL
+@given(random_families(), st.data())
+def test_build_graph(words, data):
+    strings = [TernaryString.parse(w) for w in words]
+    k = data.draw(st.integers(1, len(words[0])))
+    dist = oracle_distances(words)
+    n = len(words)
+    near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
+    ordered, adj = _build_graph(strings, k)
+    assert [str(s) for s in ordered] == [words[i] for i in order]
+    assert adj == [as_mask(b for b, v in enumerate(order) if near[u][v]) for u in order]
+
+
+def oracle_is_partition(words: list[str]) -> bool:
+    d = len(words[0])
+    if sum(2 ** w.count("*") for w in words) != 2**d:
+        return False
+    return all(sym_distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :])
+
+
+def oracle_is_total_lamination(words: list[str]) -> bool:
+    d = len(words[0])
+    if len(words) == 1 and words[0] == "*" * d:
+        return True
+    if len(words) == 2**d and all("*" not in w for w in words):
+        return True
+    if not oracle_is_partition(words):
+        return False
+    for c in range(d):
+        if any(w[c] == "*" for w in words):
+            continue
+        sides = [[w[:c] + w[c + 1 :] for w in words if w[c] == s] for s in "01"]
+        if all(oracle_is_total_lamination(side) for side in sides):
+            return True
+    return False
+
+
+@KERNEL
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_partition_and_total_lamination(d, seed, perturb):
+    rng = random.Random(seed)
+    words = twin_split_partition(d, rng, max_members=60).texts()
+    if perturb:
+        # swap one 0/1 symbol: the volume stays 2^d, the cover usually breaks
+        i = rng.randrange(len(words))
+        coords = [c for c, ch in enumerate(words[i]) if ch != "*"]
+        if coords:
+            c = rng.choice(coords)
+            flipped = words[i][:c] + ("1" if words[i][c] == "0" else "0") + words[i][c + 1 :]
+            if flipped not in words:
+                words[i] = flipped
+    fam = Family.of(words)
+    assert is_partition(fam) == oracle_is_partition(words)
+    assert is_total_lamination(fam) == oracle_is_total_lamination(words)
+
+
+def test_every_partition_of_the_3_cube():
+    # includes the pinwheel partitions, which are not total laminations
+    for members in all_cube_partitions(3):
+        words = [str(m) for m in members]
+        fam = Family(3, members)
+        assert is_partition(fam) and oracle_is_partition(words)
+        assert is_total_lamination(fam) == oracle_is_total_lamination(words)

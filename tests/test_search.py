@@ -145,11 +145,26 @@ class TestMaxFamily:
         assert result.stats["stopped"] == "time-budget"
         assert not result.proven_optimal
         assert result.stats["elapsed_secs"] == 10.0
+        assert result.stats["nodes"] == 1  # the first tick reads the clock
 
     def test_capacity_guard(self):
         cfg = SearchConfig(max_candidates=10)
-        with pytest.raises(CapacityExceeded):
+        # 20 candidates: the adjacency needs 20 * 20 / 8 = 50 bytes
+        with pytest.raises(CapacityExceeded, match=r"20 candidates \(adjacency 50 bytes\)"):
             max_family(2, 3, cfg)
+
+    def test_pinned_search_graph(self):
+        # node counts depend on the candidate order of _build_graph
+        result = max_family(2, 5)
+        stats = result.stats
+        assert (result.optimum, stats["candidates"], stats["nodes"]) == (12, 232, 10266)
+        assert result.witness.texts() == [
+            "00000", "00001", "0001*", "00100", "00101", "0011*",
+            "01*00", "01*01", "01*1*", "1**00", "1**01", "1**1*",
+        ]
+        result = max_family(4, 7, SearchConfig(budget_nodes=2000))
+        assert (result.stats["candidates"], result.stats["nodes"]) == (1808, 2001)
+        assert result.stats["stopped"] == "node-budget"
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
