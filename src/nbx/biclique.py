@@ -49,8 +49,27 @@ class BicliqueCover:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BicliqueCover":
-        return cls.of(int(data["n"]), [(b["L"], b["R"]) for b in data["bicliques"]])
+    def from_dict(cls, data) -> "BicliqueCover":
+        """Parse the ``as_dict`` shape; ValueError names the first bad field."""
+        if not isinstance(data, dict):
+            raise ValueError("cover: expected a JSON object")
+        if not _is_int(data.get("n")):
+            raise ValueError("cover: 'n' must be an integer")
+        if not isinstance(data.get("bicliques"), list):
+            raise ValueError("cover: 'bicliques' must be a list")
+        sides = []
+        for i, b in enumerate(data["bicliques"], start=1):
+            if not isinstance(b, dict):
+                raise ValueError(f"biclique {i}: expected an object with 'L' and 'R'")
+            for side in ("L", "R"):
+                if not isinstance(b.get(side), list) or not all(map(_is_int, b[side])):
+                    raise ValueError(f"biclique {i}: '{side}' must be a list of integer vertices")
+            sides.append((b["L"], b["R"]))
+        return cls.of(data["n"], sides)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

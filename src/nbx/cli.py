@@ -187,10 +187,11 @@ _TABLE_HEADER = ["k", "d", "lower", "lower_method", "upper", "upper_method", "ex
 
 def _cmd_bounds(args) -> int:
     entry = bounds.best_bounds(args.k, args.d)
-    if _table_format(args) == "json":
+    fmt = _table_format(args)
+    if fmt == "json":
         _emit_json(entry.as_dict())
     else:
-        _rows_out([_entry_row(entry)], _TABLE_HEADER, "tsv" if not sys.stdout.isatty() or args.tsv else "human")
+        _rows_out([_entry_row(entry)], _TABLE_HEADER, fmt)
     return 0
 
 
@@ -300,7 +301,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except search.CapacityExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,11 @@ The builders: the canonical 1-neighborly chain family, Hamming-ball
 families, concatenation products, the fragmented construction (a union of
 block products tagged by k-subsets of [m]), and the extremal family for
 k = d-1.  On top of the fragmented construction sit two optimizers:
-``m_value`` maximizes the fragmented size for one block plan, and
+``m_value`` maximizes the fragmented size over the block count m, and
 ``mbar_value`` maximizes products of fragmented families over all ways of
-splitting (k, d) into parts.
+splitting (k, d) into parts.  The block lengths are always the balanced
+split of the coordinate budget: the fragmented size is Schur-concave in
+them, so no uneven split is larger.
 
 Every output is verified against its advertised neighborliness and size
 at construction time.
@@ -18,14 +20,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .families import Family, verify_neighborly
 from .strings import TernaryString, all_jokers
-
-# Compositions of the coordinate budget scanned per block count in
-# ``m_value``; the balanced split is always evaluated regardless.
-DEFAULT_COMPOSITION_CAP = 100_000
 
 
 def _checked(family: Family, k: int, expected_size: Optional[int] = None) -> Family:
@@ -176,15 +174,14 @@ class MValueResult:
     """Optimal value together with the plan(s) achieving it.
 
     ``plan`` is set for single-plan optimization, ``parts`` for the split
-    optimizer.  ``balanced_matches`` records whether an evenly-split block
-    vector already achieves the optimum (the scan over uneven splits exists
-    to validate that empirically).
+    optimizer.  Every block vector in a plan is the balanced split of its
+    coordinate budget: e_k is Schur-concave, and the balanced vector is
+    majorized by every other one of the same length and sum.
     """
 
     value: int
     plan: Optional[FragmentPlan] = None
     parts: Optional[tuple[FragmentPlan, ...]] = None
-    balanced_matches: Optional[bool] = None
 
     def as_dict(self) -> dict:
         if self.parts is not None:
@@ -195,77 +192,47 @@ class MValueResult:
         return {"value": self.value, "m": self.plan.m, "a": list(self.plan.a)}
 
 
-def _descending_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing positive integer tuples of the given length summing
-    to total, at most ``cap`` of them."""
-    count = 0
-
-    def rec(remaining: int, slots: int, maxpart: int, prefix: tuple[int, ...]):
-        nonlocal count
-        if count >= cap:
-            return
-        if slots == 1:
-            if 1 <= remaining <= maxpart:
-                count += 1
-                yield prefix + (remaining,)
-            return
-        top = min(maxpart, remaining - (slots - 1))
-        for first in range(top, 0, -1):
-            yield from rec(remaining - first, slots - 1, first, prefix + (first,))
-
-    yield from rec(total, parts, total, ())
-
-
 def _balanced_split(total: int, parts: int) -> tuple[int, ...]:
     q, r = divmod(total, parts)
     return tuple([q + 1] * r + [q] * (parts - r))
 
 
 @lru_cache(maxsize=None)
-def _m_value_cached(k: int, d: int, cap: int) -> MValueResult:
+def _m_value_cached(k: int, d: int) -> MValueResult:
     if not 1 <= k <= d:
         raise ValueError("no feasible plan: requires 1 <= k <= d")
     best: Optional[tuple[int, FragmentPlan]] = None
-    balanced_best = 0
     m = k
     while comb(m, k) + m - 1 <= d:
-        budget = d - comb(m, k) + 1
-        balanced = _balanced_split(budget, m)
-        best_here: Optional[tuple[int, tuple[int, ...]]] = None
-        seen_balanced = False
-        for a in _descending_compositions(budget, m, cap):
-            val = _esym(k, [x + 1 for x in a])
-            if a == balanced:
-                seen_balanced = True
-            if best_here is None or val > best_here[0] or (val == best_here[0] and a > best_here[1]):
-                best_here = (val, a)
-        if not seen_balanced:
-            val = _esym(k, [x + 1 for x in balanced])
-            if best_here is None or val > best_here[0]:
-                best_here = (val, balanced)
-        balanced_best = max(balanced_best, _esym(k, [x + 1 for x in balanced]))
-        if best is None or best_here[0] > best[0]:
-            best = (best_here[0], FragmentPlan(k, d, m, best_here[1]))
+        plan = FragmentPlan(k, d, m, _balanced_split(d - comb(m, k) + 1, m))
+        value = plan.size()
+        if best is None or value > best[0]:
+            best = (value, plan)
         m += 1
-    if best is None:
-        raise ValueError(f"no feasible block count for k={k}, d={d}")
-    return MValueResult(best[0], plan=best[1], balanced_matches=(balanced_best == best[0]))
+    return MValueResult(best[0], plan=best[1])
 
 
-def m_value(k: int, d: int, composition_cap: int = DEFAULT_COMPOSITION_CAP) -> MValueResult:
+def m_value(k: int, d: int) -> MValueResult:
     """Best fragmented-construction size for (k, d), with a witness plan.
 
-    All block counts m with C(m, k) + m - 1 <= d are scanned, and for each
-    the non-increasing splits of the coordinate budget (up to the cap; the
-    balanced split is always included).  Ties prefer smaller m, then the
-    lexicographically largest split.
+    All block counts m with C(m, k) + m - 1 <= d are tried, each with the
+    balanced split of its coordinate budget d - C(m, k) + 1; ties prefer
+    the smaller m.  No other split can do better: the size
+    e_k(a_1 + 1, ..., a_m + 1) is Schur-concave in a, strictly for k >= 2
+    (Schur-Ostrowski: (x_i - x_j)(de_k/dx_i - de_k/dx_j) =
+    -(x_i - x_j)^2 e_{k-2}(x without x_i, x_j)), and the balanced integer
+    vector is majorized by every composition of the same length and sum
+    (Marshall, Olkin & Arnold, Inequalities: Theory of Majorization,
+    3.F).  For k = 1 every plan has size d + 1.
     """
-    return _m_value_cached(k, d, composition_cap)
+    # the mbar DP makes its ~k*d lookups per cell on the cache directly,
+    # so a caller who wraps or times m_value sees only outside calls
+    return _m_value_cached(k, d)
 
 
 @lru_cache(maxsize=None)
-def _mbar_cached(k: int, d: int, cap: int) -> tuple[int, tuple[FragmentPlan, ...]]:
-    single = _m_value_cached(k, d, cap)
+def _mbar_cached(k: int, d: int) -> tuple[int, tuple[FragmentPlan, ...]]:
+    single = _m_value_cached(k, d)
     best_value = single.value
     best_parts: tuple[FragmentPlan, ...] = (single.plan,)
     for k1 in range(1, k):
@@ -274,8 +241,8 @@ def _mbar_cached(k: int, d: int, cap: int) -> tuple[int, tuple[FragmentPlan, ...
             d2 = d - d1
             if d2 < k2:
                 continue
-            head = _m_value_cached(k1, d1, cap)
-            tail_value, tail_parts = _mbar_cached(k2, d2, cap)
+            head = _m_value_cached(k1, d1)
+            tail_value, tail_parts = _mbar_cached(k2, d2)
             value = head.value * tail_value
             if value > best_value:
                 best_value = value
@@ -283,12 +250,12 @@ def _mbar_cached(k: int, d: int, cap: int) -> tuple[int, tuple[FragmentPlan, ...
     return best_value, best_parts
 
 
-def mbar_value(k: int, d: int, composition_cap: int = DEFAULT_COMPOSITION_CAP) -> MValueResult:
+def mbar_value(k: int, d: int) -> MValueResult:
     """Best product of fragmented sizes over all splits k = sum k_i,
     d = sum d_i with k_i <= d_i, by dynamic programming over the parts."""
     if not 1 <= k <= d:
         raise ValueError("requires 1 <= k <= d")
-    value, parts = _mbar_cached(k, d, composition_cap)
+    value, parts = _mbar_cached(k, d)
     return MValueResult(value, parts=parts)
 
 

@@ -205,8 +205,11 @@ def _bits(mask: int) -> Iterator[int]:
         j = text.find("1", j + 1)
 
 
-def _pairwise_disjoint(zero_masks: list[int], one_masks: list[int], d: int) -> bool:
-    """True iff no two members are at distance 0 (their subcubes meet)."""
+def _is_partition_masks(zero_masks: list[int], one_masks: list[int], d: int) -> bool:
+    """True iff the subcubes have total volume 2^d and no two members are
+    at distance 0 (their subcubes meet)."""
+    if sum(1 << (d - (z | o).bit_count()) for z, o in zip(zero_masks, one_masks)) != 1 << d:
+        return False
     full = (1 << len(zero_masks)) - 1
     for i, count in enumerate(_distance_rows(zero_masks, one_masks, d)):
         upper = full >> (i + 1) << (i + 1)
@@ -276,7 +279,7 @@ def is_partition(family: Family) -> bool:
     """True iff the subcubes are pairwise disjoint and cover the whole cube
     (volume 2^d)."""
     members = family.members
-    return volume(family) == (1 << family.dimension) and _pairwise_disjoint(
+    return _is_partition_masks(
         [m.zero_mask for m in members], [m.one_mask for m in members], family.dimension
     )
 
@@ -315,10 +318,7 @@ def _total_lamination(d: int, key: frozenset) -> bool:
             return True  # all-joker singleton (covers d == 0 too)
     if n == 1 << d and all((z | o) == full for z, o in members):
         return True  # the full binary cube
-    # must be a partition
-    if sum(1 << (d - (z | o).bit_count()) for z, o in members) != 1 << d:
-        return False
-    if not _pairwise_disjoint([z for z, _ in members], [o for _, o in members], d):
+    if not _is_partition_masks([z for z, _ in members], [o for _, o in members], d):
         return False
     for c in range(d):
         bit = 1 << c

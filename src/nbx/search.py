@@ -239,6 +239,20 @@ def _build_graph(strings: list[TernaryString], k: int):
     return ordered, list(_adjacency(ordered, k))
 
 
+def _search_graph(k: int, d: int, cfg: SearchConfig):
+    """Candidates for (k, d) under the capacity guard, in search order:
+    the ordered strings, their adjacency bitmasks and their volumes."""
+    strings = _candidates(k, d, cfg.joker_prune)
+    if len(strings) > cfg.max_candidates:
+        n = len(strings)
+        raise CapacityExceeded(
+            f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
+            f" capacity {cfg.max_candidates}"
+        )
+    ordered, adj = _build_graph(strings, k)
+    return ordered, adj, [1 << s.jokers for s in ordered]
+
+
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
     """Exact maximum k-neighborly family in dimension d.
 
@@ -249,16 +263,8 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
         raise ValueError("requires 1 <= k <= d")
     start = time.monotonic()
     cfg = cfg or SearchConfig()
-    strings = _candidates(k, d, cfg.joker_prune)
-    if len(strings) > cfg.max_candidates:
-        n = len(strings)
-        raise CapacityExceeded(
-            f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
-            f" capacity {cfg.max_candidates}"
-        )
-    ordered, adj = _build_graph(strings, k)
+    ordered, adj, vols = _search_graph(k, d, cfg)
     index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
-    vols = [1 << s.jokers for s in ordered]
     cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
 
     engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs, start)
@@ -339,9 +345,7 @@ def enumerate_max_families(
     base = max_family(k, d, cfg)
     if not base.proven_optimal:
         raise RuntimeError("optimum not proven within budget; cannot enumerate")
-    strings = _candidates(k, d, cfg.joker_prune)
-    ordered, adj = _build_graph(strings, k)
-    vols = [1 << s.jokers for s in ordered]
+    ordered, adj, vols = _search_graph(k, d, cfg)
     engine = _Enumerator(
         adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, cfg.budget_secs, start
     )

@@ -6,6 +6,7 @@ checked against a second, dumber route.
 """
 
 import itertools
+import math
 import random
 
 from nbx import Family, TernaryString
@@ -135,6 +136,32 @@ def profile_optimum(k: int, d: int, kappa) -> int:
                     new[v2] = c2
         states = new
     return max(states.values())
+
+
+# -- fragmented construction ----------------------------------------------
+
+
+def best_fragmented_plan(k: int, d: int) -> tuple[int, int, tuple[int, ...]]:
+    """(value, m, a) maximizing e_k(a_1 + 1, ..., a_m + 1) by brute force:
+    every block count m with C(m, k) + m - 1 <= d and every ordered
+    composition a of d - C(m, k) + 1 into m positive parts, with e_k
+    summed over k-subsets.  Ties prefer the smaller m, then the
+    lexicographically largest a."""
+    best = None
+    m = k
+    while math.comb(m, k) + m - 1 <= d:
+        budget = d - math.comb(m, k) + 1
+        for cuts in itertools.combinations(range(1, budget), m - 1):
+            ends = (0, *cuts, budget)
+            a = tuple(hi - lo for lo, hi in zip(ends, ends[1:]))
+            value = sum(
+                math.prod(a[i] + 1 for i in sub) for sub in itertools.combinations(range(m), k)
+            )
+            if best is None or (value, -m, a) > best:
+                best = (value, -m, a)
+        m += 1
+    value, neg_m, a = best
+    return value, -neg_m, a
 
 
 # -- random partition generation ------------------------------------------

@@ -171,9 +171,24 @@ class TestConvert:
 
     def test_bad_cover_json(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
-        f.write_text("{\"n\": 2}")
-        assert run(["convert", "to-family", str(f)]) == 2
-
+        for text, field in [
+            ("[]", "JSON object"),
+            ('{"n": null, "bicliques": []}', "'n'"),
+            ('{"bicliques": []}', "'n'"),
+            ('{"n": "2", "bicliques": []}', "'n'"),
+            ('{"n": true, "bicliques": []}', "'n'"),
+            ('{"n": 2}', "'bicliques'"),
+            ('{"n": 2, "bicliques": {}}', "'bicliques'"),
+            ('{"n": 2, "bicliques": [1]}', "biclique 1: expected an object"),
+            ('{"n": 2, "bicliques": [{"L": [0]}]}', "biclique 1: 'R'"),
+            ('{"n": 2, "bicliques": [{"L": [0], "R": [1]}, {"L": 0, "R": [1]}]}', "biclique 2: 'L'"),
+            ('{"n": 2, "bicliques": [{"L": [0], "R": ["x"]}]}', "biclique 1: 'R'"),
+            ('{"n": 2, "bicliques": [{"L": [0.0], "R": [1]}]}', "biclique 1: 'L'"),
+        ]:
+            f.write_text(text)
+            assert run(["convert", "to-family", str(f)]) == 2, text
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], (text, err)
 
 class TestAudit:
     def test_clean(self, capsys):

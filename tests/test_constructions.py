@@ -23,6 +23,8 @@ from nbx import (
 from nbx import TernaryString
 from nbx.constructions import _checked
 
+from _oracles import best_fragmented_plan
+
 # Published reference row: best fragmented-construction sizes for k = 2,
 # dimensions 3..18.
 M2_ROW = [6, 9, 12, 16, 21, 27, 33, 40, 48, 56, 65, 75, 85, 96, 108, 120]
@@ -219,10 +221,18 @@ class TestMValue:
             for k in range(1, d + 1):
                 assert m_value(k, d).value >= alon_lower(k, d)
 
-    def test_balanced_split_suffices(self):
-        assert all(
-            m_value(k, d).balanced_matches for d in range(1, 19) for k in range(1, d + 1)
-        )
+    def test_matches_exhaustive_composition_scan(self):
+        for d in range(1, 19):
+            for k in range(1, d + 1):
+                res = m_value(k, d)
+                assert (res.value, res.plan.m, res.plan.a) == best_fragmented_plan(k, d)
+
+    def test_large_dimension_m_value(self):
+        # polynomial evaluation keeps working far beyond the test grid
+        for k, d in [(2, 40), (2, 200)]:
+            res = m_value(k, d)
+            assert res.value == res.plan.size()
+            assert res.value >= alon_lower(k, d)
 
     def test_k1_is_linear(self):
         for d in range(1, 12):
@@ -296,16 +306,3 @@ class TestRealizeMbar:
         for k, d in [(2, 7), (3, 10), (2, 6), (4, 8)]:
             assert is_total_lamination(realize_mbar(k, d))
 
-
-class TestCompositionCap:
-    def test_tiny_cap_still_sees_balanced_split(self):
-        # the cap limits the scan, never the balanced candidate
-        capped = m_value(2, 18, composition_cap=1)
-        assert capped.value == 120
-        assert capped.plan.a == (6, 5, 5)
-
-    def test_large_dimension_m_value(self):
-        # polynomial evaluation keeps working far beyond the test grid
-        res = m_value(2, 40)
-        assert res.value == res.plan.size()
-        assert res.value >= alon_lower(2, 40)
