@@ -8,14 +8,15 @@ so k-neighborliness of the family is exactly the [1, k] multiplicity
 condition on the covering.
 
 Vertices are indexed 0..n-1 by member order, which makes the two
-directions exact inverses.
+directions exact inverses.  Any cover is a family transposed (v in L_i
+is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import Family
+from .families import Family, _above, _bits, _distance_rows, _nonzero
 from .strings import TernaryString
 
 
@@ -27,6 +28,8 @@ class BicliqueCover:
     bicliques: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"cover: 'n' must be non-negative, got {self.n}")
         for i, (left, right) in enumerate(self.bicliques, start=1):
             if left & right:
                 raise ValueError(f"biclique {i}: sides are not disjoint")
@@ -102,6 +105,17 @@ def family_to_cover(family: Family) -> BicliqueCover:
     return BicliqueCover(len(family), tuple(bicliques))
 
 
+def _vertex_masks(cover: BicliqueCover) -> tuple[list[int], list[int]]:
+    """Vertex words: bit i of zs[v] (os_[v]) is set when v is in L_i (R_i)."""
+    zs, os_ = [0] * cover.n, [0] * cover.n
+    for i, (left, right) in enumerate(cover.bicliques):
+        for v in left:
+            zs[v] |= 1 << i
+        for v in right:
+            os_[v] |= 1 << i
+    return zs, os_
+
+
 def cover_to_family(cover: BicliqueCover) -> Family:
     """Inverse of family_to_cover: vertex v becomes the string with 0 where
     v is on the left of a biclique, 1 on the right, joker when absent.
@@ -110,15 +124,8 @@ def cover_to_family(cover: BicliqueCover) -> Family:
     is an error (their edge cannot be covered)."""
     members = []
     texts = {}
-    for v in range(cover.n):
-        zeros = ones = 0
-        for i, (left, right) in enumerate(cover.bicliques):
-            if v in left:
-                zeros |= 1 << i
-            elif v in right:
-                ones |= 1 << i
-        s = TernaryString(cover.d, zeros, ones)
-        key = (zeros, ones)
+    for v, key in enumerate(zip(*_vertex_masks(cover))):
+        s = TernaryString(cover.d, *key)
         if key in texts:
             raise ValueError(
                 f"vertices {texts[key]} and {v} are indistinguishable (both map to {s})"
@@ -129,24 +136,24 @@ def cover_to_family(cover: BicliqueCover) -> Family:
 
 
 def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
-    """Check that every edge of K_n is covered between 1 and k times."""
-    counts = {}
-    for u in range(cover.n):
-        for v in range(u + 1, cover.n):
-            counts[(u, v)] = 0
-    for left, right in cover.bicliques:
-        for u in left:
-            for v in right:
-                edge = (u, v) if u < v else (v, u)
-                counts[edge] += 1
-    histogram: dict[int, int] = {}
+    """Check that every edge of K_n is covered between 1 and k times; edge
+    (u, v) is covered dist(u, v) times, the distance of the vertex words."""
+    n, d = cover.n, cover.d
+    zs, os_ = _vertex_masks(cover)
+    k = min(max(k, 0), d)  # _above reads only d.bit_length() bits of k
+    full = (1 << n) - 1
+    at_least = [n * (n - 1) // 2] + [0] * (d + 1)  # edges covered >= m times
     violations = []
-    for (u, v), mult in counts.items():
-        histogram[mult] = histogram.get(mult, 0) + 1
-        if mult < 1 or mult > k:
-            violations.append((u, v, mult))
-    return CoverReport(
-        not violations,
-        tuple(sorted(histogram.items())),
-        tuple(sorted(violations)),
-    )
+    for u, count in enumerate(_distance_rows(zs, os_, d)):
+        upper = full >> (u + 1) << (u + 1)
+        for m in range(d):
+            cols = _above(count, m, upper)
+            if not cols:
+                break
+            at_least[m + 1] += cols.bit_count()
+        bad = upper & (~_nonzero(count) | _above(count, k, full))
+        for v in _bits(bad):
+            violations.append((u, v, ((zs[u] & os_[v]) | (os_[u] & zs[v])).bit_count()))
+    pairs = zip(at_least, at_least[1:])
+    histogram = tuple((m, a - b) for m, (a, b) in enumerate(pairs) if a > b)
+    return CoverReport(not violations, histogram, tuple(violations))

@@ -136,8 +136,9 @@ def greedy_kappa_upper(k: int, d: int) -> tuple[int, GreedyProfile]:
 
 
 def refined_upper(k: int, d: int) -> int:
-    """Closed-form evaluation of the greedy kappa optimum, split by the
-    parities of k and d.  Defined for 1 <= k <= d-1."""
+    """Closed-form parity-case bound from kappa's binomial layers, halved per
+    level and rounded by strict_floor(x + 1/2), for 1 <= k <= d-1.  For
+    d <= 40 it is never below greedy_kappa_upper but exceeds it in 416 of 780 cells."""
     if not 1 <= k <= d - 1:
         raise ValueError("requires 1 <= k <= d-1")
     half = Fraction(1, 2)

@@ -26,7 +26,6 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString
@@ -300,42 +299,35 @@ def is_total_lamination(family: Family) -> bool:
     """True iff the family splits recursively, coordinate by coordinate,
     down to all-joker singletons or full binary cubes.
 
-    The split coordinate is existential at every level; results are
-    memoized on the canonicalized member set to keep the recursion cheap.
-    """
-    key = frozenset((m.zero_mask, m.one_mask) for m in family.members)
-    return _total_lamination(family.dimension, key)
-
-
-@lru_cache(maxsize=None)
-def _total_lamination(d: int, key: frozenset) -> bool:
-    members = sorted(key)
-    n = len(members)
-    full = (1 << d) - 1
-    if n == 1:
-        z, o = members[0]
-        if z == 0 and o == 0:
-            return True  # all-joker singleton (covers d == 0 too)
-    if n == 1 << d and all((z | o) == full for z, o in members):
-        return True  # the full binary cube
-    if not _is_partition_masks([z for z, _ in members], [o for _, o in members], d):
+    Only a partition can, and both sides of a split partition are
+    partitions, so the partition check runs once.  The split coordinate is
+    existential at every level; results are memoized within the call."""
+    if not is_partition(family):
         return False
-    for c in range(d):
-        bit = 1 << c
-        if not all((z | o) & bit for z, o in members):
-            continue
-        low = bit - 1
+    key = frozenset((m.zero_mask, m.one_mask) for m in family.members)
+    return _total_lamination(family.dimension, key, {})
 
-        def drop(mask: int) -> int:
-            return (mask & low) | ((mask >> 1) & ~low)
 
-        side0 = frozenset((drop(z), drop(o)) for z, o in members if z & bit)
-        side1 = frozenset((drop(z), drop(o)) for z, o in members if o & bit)
-        if len(side0) + len(side1) != n:
-            return False  # deletion collided; cannot happen for partitions
-        if _total_lamination(d - 1, side0) and _total_lamination(d - 1, side1):
-            return True
-    return False
+def _total_lamination(d: int, key: frozenset, memo: dict) -> bool:
+    if len(key) in (1, 1 << d):
+        return True  # a partition, so the all-joker singleton or the binary cube
+    if (d, key) not in memo:
+        memo[(d, key)] = False
+        for c in range(d):
+            bit = 1 << c
+            if not all((z | o) & bit for z, o in key):
+                continue
+            low = bit - 1
+
+            def drop(mask: int) -> int:
+                return (mask & low) | ((mask >> 1) & ~low)
+
+            side0 = frozenset((drop(z), drop(o)) for z, o in key if z & bit)
+            side1 = frozenset((drop(z), drop(o)) for z, o in key if o & bit)
+            if _total_lamination(d - 1, side0, memo) and _total_lamination(d - 1, side1, memo):
+                memo[(d, key)] = True
+                break
+    return memo[(d, key)]
 
 
 def reduce_to_trivial(family: Family) -> list[Family]:

@@ -57,8 +57,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget_nodes is not None and self.budget_nodes <= 0:
             raise ValueError("budget_nodes must be positive")
-        if self.budget_secs is not None and self.budget_secs <= 0:
-            raise ValueError("budget_secs must be positive")
+        if self.budget_secs is not None and not 0 < self.budget_secs < float("inf"):
+            raise ValueError("budget_secs must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from nbx import Family, TernaryString
+from nbx import BicliqueCover, CoverReport, Family, TernaryString
 
 
 # -- symbol-level string algebra ---------------------------------------
@@ -24,6 +24,34 @@ def sym_subcube(a: str) -> list[str]:
     """All binary words of a ternary word, by expanding jokers."""
     pools = [("0", "1") if ch == "*" else (ch,) for ch in a]
     return ["".join(w) for w in itertools.product(*pools)]
+
+
+# -- biclique covers -----------------------------------------------------
+
+
+def cover_report(cover: BicliqueCover, k: int) -> CoverReport:
+    """Edge multiplicities counted one L x R pair at a time into a
+    dictionary over the edges of K_n."""
+    counts = {}
+    for u in range(cover.n):
+        for v in range(u + 1, cover.n):
+            counts[(u, v)] = 0
+    for left, right in cover.bicliques:
+        for u in left:
+            for v in right:
+                edge = (u, v) if u < v else (v, u)
+                counts[edge] += 1
+    histogram: dict[int, int] = {}
+    violations = []
+    for (u, v), mult in counts.items():
+        histogram[mult] = histogram.get(mult, 0) + 1
+        if mult < 1 or mult > k:
+            violations.append((u, v, mult))
+    return CoverReport(
+        not violations,
+        tuple(sorted(histogram.items())),
+        tuple(sorted(violations)),
+    )
 
 
 # -- clique search -------------------------------------------------------

@@ -137,6 +137,12 @@ class TestSearchCommand:
         assert data["count"] == 1
         assert data["families"] == [["00", "01", "10", "11"]]
 
+    def test_non_finite_budget_refused(self, capsys):
+        for budget in ("nan", "inf"):
+            assert run(["search", "2", "4", "--budget-secs", budget]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "budget_secs" in err[0]
+
     def test_capacity_refused_without_force(self, capsys):
         # (2, 11) has 177,124 candidates, beyond the 60,000 default
         code = run(["search", "2", "11"])
@@ -177,6 +183,7 @@ class TestConvert:
             ('{"bicliques": []}', "'n'"),
             ('{"n": "2", "bicliques": []}', "'n'"),
             ('{"n": true, "bicliques": []}', "'n'"),
+            ('{"n": -3, "bicliques": [{"L": [], "R": []}]}', "'n'"),
             ('{"n": 2}', "'bicliques'"),
             ('{"n": 2, "bicliques": {}}', "'bicliques'"),
             ('{"n": 2, "bicliques": [1]}', "biclique 1: expected an object"),

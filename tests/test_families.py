@@ -8,6 +8,7 @@ from nbx import (
     TernaryString,
     canonical,
     diameter,
+    families,
     is_lamination,
     is_partition,
     is_total_lamination,
@@ -158,6 +159,19 @@ class TestLaminations:
         assert is_total_lamination(C3)
         assert is_total_lamination(H2)
         assert is_total_lamination(FIG_G)
+
+    def test_partition_checked_once(self, monkeypatch):
+        # the sides of a split partition are partitions: no per-level check
+        calls = []
+        check = families._is_partition_masks
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(families, "_is_partition_masks", counted)
+        assert is_total_lamination(canonical(12))
+        assert len(calls) == 1
 
     def test_all_joker_singleton_is_total(self):
         assert is_total_lamination(Family.of(["***"]))

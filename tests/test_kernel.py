@@ -2,8 +2,10 @@
 
 Every family-wide pair check in the library runs through
 ``families._distance_rows``; here each one is compared with a plain pair
-loop over ``_oracles.sym_distance`` on random families.  Member counts run
-up to 150 and lengths up to 80, so both the member bit-sets and the
+loop over ``_oracles.sym_distance`` on random families, and
+``verify_cover`` with the edge-dictionary count of
+``_oracles.cover_report`` on random biclique covers.  Member counts run up
+to 150 and lengths up to 80, so both the member bit-sets and the
 coordinate masks cross machine-word boundaries.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
@@ -13,17 +15,19 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from nbx import (
+    BicliqueCover,
     Family,
     TernaryString,
     diameter,
     is_partition,
     is_total_lamination,
+    verify_cover,
     verify_neighborly,
 )
 from nbx.families import _above, _distance_rows, _nonzero
 from nbx.search import _build_graph
 
-from _oracles import all_cube_partitions, sym_distance, twin_split_partition
+from _oracles import all_cube_partitions, cover_report, sym_distance, twin_split_partition
 
 KERNEL = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
@@ -167,3 +171,31 @@ def test_every_partition_of_the_3_cube():
         fam = Family(3, members)
         assert is_partition(fam) and oracle_is_partition(words)
         assert is_total_lamination(fam) == oracle_is_total_lamination(words)
+
+
+@st.composite
+def random_covers(draw):
+    # arbitrary covers, not only ones read off a family: vertices in no
+    # biclique, repeated bicliques, empty bicliques, n < 2 and d = 0
+    n = draw(st.integers(0, 40) | st.sampled_from([0, 1, 2, 30, 31, 32]))
+    d = draw(st.integers(0, 12) | st.sampled_from([0, 30, 31, 33]))
+    absent = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bicliques = []
+    for _ in range(d):
+        if bicliques and rng.random() < 0.2:
+            bicliques.append(rng.choice(bicliques))
+            continue
+        sides = ([], [])
+        for v in range(n):
+            if rng.random() >= absent:
+                sides[rng.random() < 0.5].append(v)
+        bicliques.append(sides)
+    return BicliqueCover.of(n, bicliques)
+
+
+@settings(KERNEL, max_examples=100)
+@given(random_covers())
+def test_verify_cover(cover):
+    for k in range(-1, cover.d + 3):  # k > d exercises the clamp to d
+        assert verify_cover(cover, k) == cover_report(cover, k), k

@@ -171,6 +171,9 @@ class TestMaxFamily:
             SearchConfig(budget_nodes=0)
         with pytest.raises(ValueError):
             SearchConfig(budget_secs=-1.0)
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SearchConfig(budget_secs=budget)
 
     def test_stats_fields(self):
         stats = max_family(2, 3).stats
