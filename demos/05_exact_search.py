@@ -2,8 +2,9 @@
 
 The solver is a branch and bound over the compatibility graph of all
 candidate strings, pruned by greedy coloring, disjoint-volume counting,
-and the best closed-form upper bound.  Candidates with more than d-k
-jokers never occur in a maximum family and are dropped up front.
+and the best closed-form upper bound, and by orbital branching under the
+cube's coordinate permutations and 0/1 flips.  Candidates with more than
+d-k jokers never occur in a maximum family and are dropped up front.
 """
 
 import time

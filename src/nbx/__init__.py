@@ -57,6 +57,7 @@ from .families import (
 from .search import (
     CapacityExceeded,
     EnumerationCapExceeded,
+    EnumerationIncomplete,
     SearchConfig,
     SearchResult,
     enumerate_candidates,
@@ -79,6 +80,7 @@ __all__ = [
     "split_upper", "split_upper_best", "greedy_kappa_upper", "refined_upper",
     "best_bounds", "bounds_table", "pascal_audit", "strict_floor",
     "SearchConfig", "SearchResult", "CapacityExceeded", "EnumerationCapExceeded",
+    "EnumerationIncomplete",
     "enumerate_candidates", "max_family", "enumerate_max_families",
     "verify_certificate",
     "BicliqueCover", "CoverReport", "family_to_cover", "cover_to_family",

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--no-joker-prune", action="store_true")
-    p.add_argument("--no-symmetry", action="store_true")
+    p.add_argument("--no-symmetry", action="store_true", help="plain walk: no orbital branching")
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every maximum family")
     p.add_argument("--force", action="store_true", help="lift the candidate-count capacity")
@@ -301,7 +301,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except search.CapacityExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (
+        search.EnumerationCapExceeded, search.EnumerationIncomplete, ValueError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

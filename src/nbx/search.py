@@ -15,19 +15,26 @@ with three admissible prunes:
 Candidates with more than d-k jokers can be dropped up front (no maximum
 family contains one: splitting its joker into a twin pair gives a strictly
 larger family); the toggle exists so the claim can be tested empirically.
-Optional symmetry fixing roots one subsearch per joker-count orbit of the
-coordinate-permutation / 0-1-swap group.
+
+With symmetry on (the default) the walk uses orbital branching (Ostrowski,
+Linderoth, Rossi & Smriglio, Math. Program. 126, 2011) under the cube's
+group of coordinate permutations and 0/1 flips: after branching on v it
+drops v's whole orbit under the pointwise stabiliser of the stack.  At the
+root that group is the whole group and its orbits are the joker counts.
 
 Optimizing and enumerating share one walk, ``_Engine.expand``.  They differ
 only in what happens at a clique one larger than ``best``: the optimizer
 raises ``best``; the enumerator holds ``best`` at the proven optimum minus
-one and records the clique, so every prune serves both modes.
+one and records the clique, so every prune serves both modes.  With
+symmetry the enumerator finds at least one family per isomorphism class,
+and closing those under the group gives every maximum family.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterator, Optional
 
 from .bounds import best_bounds
@@ -42,6 +49,10 @@ class CapacityExceeded(RuntimeError):
 
 class EnumerationCapExceeded(RuntimeError):
     """More maximum families than the enumeration cap."""
+
+
+class EnumerationIncomplete(RuntimeError):
+    """The optimum was not proven, or the enumeration walk ran out of budget."""
 
 
 @dataclass
@@ -106,9 +117,18 @@ class _BudgetExhausted(Exception):
 
 
 class _Engine:
-    """Branch-and-bound state over one ordered candidate list."""
+    """Branch-and-bound state over one ordered candidate list.
 
-    def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, budget_secs, start):
+    ``words`` holds each candidate's (zero_mask, one_mask) over the
+    log2(cube_volume) coordinates; given, the walk prunes by orbital
+    branching under the coordinate permutations and 0/1 flips, and the
+    volume buckets (one per joker count) are the orbits at the root.
+    Without it the walk is the plain clique search.
+    """
+
+    def __init__(
+        self, adj, vols, cube_volume, cutoff, budget_nodes, budget_secs, start, words=None
+    ):
         self.adj = adj
         self.vols = vols
         self.cube_volume = cube_volume
@@ -117,6 +137,7 @@ class _Engine:
         self.budget_secs = budget_secs
         # time.monotonic() at search entry, so budget_secs covers every phase
         self.start = start
+        self.words = words
         self.nodes = 0
         self.best = 0
         self.witness: list[int] = []
@@ -127,6 +148,13 @@ class _Engine:
             while len(self.buckets) <= j:
                 self.buckets.append(0)
             self.buckets[j] |= 1 << v
+
+    def run(self):
+        """Walk the whole candidate set.  With symmetry the stack starts
+        empty, so every coordinate shares the (empty, all-joker) column."""
+        n = len(self.adj)
+        classes = None if self.words is None else (self.cube_volume - 1, 0, ())
+        self.expand([], (1 << n) - 1, 0, classes)
 
     def _tick(self):
         self.nodes += 1
@@ -180,7 +208,61 @@ class _Engine:
                 pool &= ~low
         return order
 
-    def expand(self, stack: list[int], pool: int, used_volume: int):
+    def _refine(self, classes, v: int):
+        """Column classes of the stack extended by v, or None once the
+        stabiliser they describe is trivial.
+
+        ``classes`` is (joker, fixed, multi): the coordinates where every
+        stack word has a joker; the union of the one-coordinate classes whose
+        column holds a 0 or a 1; and the larger such classes.  The group kept
+        permutes the coordinates inside each class and flips joker ones.
+        """
+        joker, fixed, multi = classes
+        z, o = self.words[v]
+        split = []
+        for c in multi:
+            split += (c & z, c & o, c & ~(z | o))
+        split += (joker & z, joker & o)
+        joker &= ~(z | o)
+        rest = []
+        for c in split:
+            if c & (c - 1):
+                rest.append(c)
+            else:
+                fixed |= c
+        if not joker and not rest:
+            return None
+        return joker, fixed, tuple(rest)
+
+    def _orbits(self, classes, pool: int) -> dict[int, int]:
+        """Pool member -> its orbit within the pool under the group that
+        ``classes`` describes: in each class the same count of 0s and of 1s,
+        or of non-jokers in the joker class."""
+        joker, fixed, multi = classes
+        words = self.words
+        keys = []
+        masks: dict[tuple, int] = {}
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            z, o = words[low.bit_length() - 1]
+            key = (z & fixed, o & fixed, ((z | o) & joker).bit_count())
+            for c in multi:
+                key += ((z & c).bit_count(), (o & c).bit_count())
+            keys.append((low, key))
+            masks[key] = masks.get(key, 0) | low
+        return {low.bit_length() - 1: masks[key] for low, key in keys}
+
+    def expand(self, stack: list[int], pool: int, used_volume: int, classes=None):
+        """Search every clique that extends ``stack`` within ``pool``.
+
+        With ``classes`` (see ``_refine``) the pool is invariant under the
+        stack's stabiliser, so after branching on v the walk drops v's whole
+        orbit: each clique it held has an image through v, already searched
+        (orbital branching).  At the root the whole group acts, its orbits
+        are the joker counts, and they are branched in ascending joker count.
+        """
         self._tick()
         depth = len(stack)
         if depth + pool.bit_count() <= self.best:
@@ -188,27 +270,44 @@ class _Engine:
         if depth + self._volume_room(pool, self.cube_volume - used_volume) <= self.best:
             return
         adj, vols, expand = self.adj, self.vols, self.expand
-        for v, c in reversed(self._color_order(pool)):
+        if depth or classes is None:
+            order = reversed(self._color_order(pool))
+        else:  # the root: one vertex per joker count, fewest jokers first
+            size = pool.bit_count()
+            hits = [pool & b for b in self.buckets]
+            order = [((h & -h).bit_length() - 1, size) for h in hits if h]
+        orbits = None
+        for v, c in order:
             if depth + c <= self.best:
                 return
+            if not pool >> v & 1:
+                continue
             sub = pool & adj[v]
             stack.append(v)
             if depth + 1 > self.best:
                 self._improve(stack)
             if sub:
-                expand(stack, sub, used_volume + vols[v])
+                expand(stack, sub, used_volume + vols[v], classes and self._refine(classes, v))
             stack.pop()
-            pool &= ~(1 << v)
+            if classes is None:
+                pool &= ~(1 << v)
+            else:
+                if orbits is None:
+                    orbits = self._orbits(classes, pool)
+                pool &= ~orbits[v]
 
 
 class _Enumerator(_Engine):
     """Fixed-target mode of the walk: ``best`` stays at ``target - 1`` and
     every clique of size ``target`` is recorded.  ``target`` must be the
     clique number, so a recorded clique has no common neighbours left and
-    the walk never goes deeper than it."""
+    the walk never goes deeper than it.  With ``words`` at least one clique
+    of each orbit is recorded."""
 
-    def __init__(self, adj, vols, cube_volume, target, cap, budget_nodes, budget_secs, start):
-        super().__init__(adj, vols, cube_volume, target, budget_nodes, budget_secs, start)
+    def __init__(
+        self, adj, vols, cube_volume, target, cap, budget_nodes, budget_secs, start, words=None
+    ):
+        super().__init__(adj, vols, cube_volume, target, budget_nodes, budget_secs, start, words)
         self.best = target - 1
         self.cap = cap
         self.found: list[tuple[int, ...]] = []
@@ -267,29 +366,13 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
     cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
 
-    engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs, start)
+    words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+    engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs, start, words)
     stopped = "complete"
     try:
         if cfg.seed_incumbent:
             _seed(engine, index_of, k, d)
-        if cfg.symmetry:
-            full = (1 << len(ordered)) - 1
-            max_jokers = d - k if cfg.joker_prune else d
-            for j in range(max_jokers + 1):
-                rep = TernaryString.parse("0" * (d - j) + "*" * j)
-                rep_i = index_of[(rep.zero_mask, rep.one_mask)]
-                allowed = 0
-                for i, s in enumerate(ordered):
-                    if s.jokers >= j:
-                        allowed |= 1 << i
-                stack = [rep_i]
-                if 1 > engine.best:
-                    engine._improve(stack)
-                pool = adj[rep_i] & allowed & full
-                if pool:
-                    engine.expand(stack, pool, vols[rep_i])
-        else:
-            engine.expand([], (1 << len(ordered)) - 1, 0)
+        engine.run()
     except _Done:
         stopped = "cutoff"
     except _BudgetExhausted as exc:
@@ -336,50 +419,101 @@ def enumerate_max_families(
 
     Runs the optimizer first (it must prove the optimum), then re-runs the
     same walk in fixed-target mode over the whole candidate set, recording
-    every clique of the proven size.  Symmetry fixing is ignored here:
-    representatives only would be found.  ``budget_secs`` counts from
+    cliques of the proven size.  With symmetry the walk prunes by orbits and
+    records at least one family per isomorphism class; closing those under
+    the coordinate permutations and flips gives every labelled family.
+    ``cap`` bounds the count of families, and ``budget_secs`` counts from
     entry, so it covers both runs.
     """
     start = time.monotonic()
     cfg = cfg or SearchConfig()
     base = max_family(k, d, cfg)
     if not base.proven_optimal:
-        raise RuntimeError("optimum not proven within budget; cannot enumerate")
+        raise EnumerationIncomplete("optimum not proven within budget; cannot enumerate")
     ordered, adj, vols = _search_graph(k, d, cfg)
+    words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
     engine = _Enumerator(
-        adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, cfg.budget_secs, start
+        adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, cfg.budget_secs, start, words
     )
     try:
-        engine.expand([], (1 << len(ordered)) - 1, 0)
+        engine.run()
     except _BudgetExhausted as exc:
-        raise RuntimeError(f"enumeration stopped by {exc.reason} before completing") from None
+        raise EnumerationIncomplete(
+            f"enumeration stopped by {exc.reason} before completing"
+        ) from None
+    found = [sum(1 << i for i in t) for t in engine.found]
+    if cfg.symmetry:
+        found = _close_under_group(found, ordered, d, cap, cfg.budget_secs, start)
     families = []
-    for idxs in sorted(sorted(t) for t in engine.found):
+    for idxs in sorted(_indices(f) for f in found):
         members = tuple(sorted((ordered[i] for i in idxs), key=str))
         families.append(Family(d, members))
     return families
 
 
+def _indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _close_under_group(
+    families: list[int], ordered, d: int, cap: int, budget_secs, start: float
+) -> set[int]:
+    """Every image of the families (bitmasks over ``ordered``) under the
+    d!·2^d coordinate permutations and 0/1 flips."""
+    bit_of = {s.zero_mask | s.one_mask << d: 1 << i for i, s in enumerate(ordered)}
+    tables = []  # per permutation, the image of every coordinate mask
+    for perm in permutations(range(d)):
+        table = [0] * (1 << d)
+        for m in range(1, 1 << d):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
+    closure: set[int] = set()
+    for fam in families:
+        if fam in closure:
+            continue
+        words = [(ordered[i].zero_mask, ordered[i].one_mask) for i in _indices(fam)]
+        for table in tables:
+            if budget_secs is not None and time.monotonic() - start > budget_secs:
+                raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
+            moved = [(table[z], table[o]) for z, o in words]
+            for flip in range(1 << d):
+                image = 0
+                for z, o in moved:
+                    image |= bit_of[(z & ~flip | o & flip) | (o & ~flip | z & flip) << d]
+                if image not in closure:
+                    closure.add(image)
+                    if len(closure) > cap:
+                        raise EnumerationCapExceeded(f"more than {cap} maximum families")
+    return closure
+
+
 def verify_certificate(result: SearchResult) -> bool:
     """Re-check a search result from its raw members, independently of the
-    search internals: size, distinctness, and pairwise distances."""
+    search internals: size, distinctness, and pairwise distances.  A witness
+    that is not an iterable of ternary strings of length d is rejected."""
     try:
         members = list(result.witness)
-        if len(members) != result.optimum or not members:
-            return False
-        seen = set()
-        for m in members:
-            if m.length != result.d:
-                return False
-            key = (m.zero_mask, m.one_mask)
-            if key in seen:
-                return False
-            seen.add(key)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                dist = ((x.zero_mask & y.one_mask) | (x.one_mask & y.zero_mask)).bit_count()
-                if dist == 0 or dist > result.k:
-                    return False
-        return True
-    except Exception:
+    except TypeError:
         return False
+    if len(members) != result.optimum or not members:
+        return False
+    seen = set()
+    for m in members:
+        if not isinstance(m, TernaryString) or m.length != result.d:
+            return False
+        key = (m.zero_mask, m.one_mask)
+        if key in seen:
+            return False
+        seen.add(key)
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            dist = ((x.zero_mask & y.one_mask) | (x.one_mask & y.zero_mask)).bit_count()
+            if dist == 0 or dist > result.k:
+                return False
+    return True

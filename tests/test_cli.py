@@ -1,6 +1,8 @@
 import json
 
+import pytest
 
+from nbx import search
 from nbx.cli import run
 
 
@@ -142,6 +144,20 @@ class TestSearchCommand:
             assert run(["search", "2", "4", "--budget-secs", budget]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and "budget_secs" in err[0]
+
+    def test_enumeration_failure_is_a_usage_error(self, capsys):
+        assert run(["search", "2", "4", "--enumerate", "--budget-nodes", "5",
+                    "--no-symmetry"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not proven" in err[0]
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(search, "max_family", broken)
+        with pytest.raises(RecursionError):
+            run(["search", "2", "3"])
 
     def test_capacity_refused_without_force(self, capsys):
         # (2, 11) has 177,124 candidates, beyond the 60,000 default

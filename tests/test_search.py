@@ -1,7 +1,7 @@
-import os
 import random
 import time
 from dataclasses import replace
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -9,7 +9,9 @@ import pytest
 from nbx import (
     CapacityExceeded,
     EnumerationCapExceeded,
+    EnumerationIncomplete,
     SearchConfig,
+    all_strings,
     best_bounds,
     enumerate_candidates,
     enumerate_max_families,
@@ -72,6 +74,41 @@ class TestEngineAgainstBruteForce:
             assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
 
 
+def _act(perm, flips, text):
+    """Image of a word under a coordinate permutation and 0/1 flips."""
+    out = [""] * len(text)
+    for i, ch in enumerate(text):
+        out[perm[i]] = {"0": "1", "1": "0", "*": "*"}[ch] if flips[i] else ch
+    return "".join(out)
+
+
+class TestOrbits:
+    def test_orbits_lie_in_stabiliser_orbits(self):
+        # every vertex the walk drops with v's orbit must be an image of v
+        # under a permutation and flip that fixes each stack word
+        rng = random.Random(7)
+        for d in (2, 3, 4):
+            strings = list(all_strings(d))
+            texts = [str(s) for s in strings]
+            n = len(strings)
+            words = [(s.zero_mask, s.one_mask) for s in strings]
+            engine = _Engine([0] * n, [1] * n, 1 << d, n, None, None, 0.0, words)
+            group = list(product(permutations(range(d)), product((0, 1), repeat=d)))
+            for trial in range(25):
+                stack = rng.sample(range(n), rng.randint(0, 3))
+                classes = (engine.cube_volume - 1, 0, ())
+                for v in stack:
+                    classes = classes and engine._refine(classes, v)
+                if classes is None:
+                    continue
+                orbits = engine._orbits(classes, (1 << n) - 1)
+                stab = [g for g in group if all(_act(*g, texts[w]) == texts[w] for w in stack)]
+                for u in range(n):
+                    orbit = {texts[i] for i in range(n) if orbits[u] >> i & 1}
+                    assert texts[u] in orbit
+                    assert orbit <= {_act(*g, texts[u]) for g in stab}, (d, stack, u)
+
+
 KNOWN = {
     (1, 1): 2, (1, 2): 3, (2, 2): 4,
     (1, 3): 4, (2, 3): 6, (3, 3): 8,
@@ -104,6 +141,29 @@ class TestMaxFamily:
             assert result.optimum == want
             assert result.proven_optimal
             assert result.stats["stopped"] == "complete"
+
+    def test_orbital_branching_proves_every_cell_to_dimension_five(self):
+        # symmetry on, no warm start, no closed-form cutoff: the orbit pruning
+        # alone must leave a search that finds and proves every known optimum
+        known = dict(KNOWN)
+        for d in range(1, 6):
+            known[1, d] = d + 1
+            known[d, d] = 1 << d
+            if d >= 2:
+                known[d - 1, d] = 3 << (d - 2)
+        known[2, 5] = 12
+        known[3, 5] = 18
+        cfg = SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)
+        for d in range(1, 6):
+            for k in range(1, d + 1):
+                result = max_family(k, d, cfg)
+                assert result.proven_optimal and result.stats["stopped"] == "complete"
+                assert result.optimum == known[k, d], (k, d)
+                assert verify_certificate(result)
+                if d <= 4 or k in (1, d):
+                    # the plain walk agrees wherever it is cheap
+                    plain = max_family(k, d, replace(cfg, symmetry=False))
+                    assert plain.optimum == result.optimum, (k, d)
 
     def test_optimum_within_best_bounds(self):
         for k, d in [(1, 4), (2, 4), (2, 5), (3, 4)]:
@@ -157,7 +217,7 @@ class TestMaxFamily:
         # node counts depend on the candidate order of _build_graph
         result = max_family(2, 5)
         stats = result.stats
-        assert (result.optimum, stats["candidates"], stats["nodes"]) == (12, 232, 10266)
+        assert (result.optimum, stats["candidates"], stats["nodes"]) == (12, 232, 370)
         assert result.witness.texts() == [
             "00000", "00001", "0001*", "00100", "00101", "0011*",
             "01*00", "01*01", "01*1*", "1**00", "1**01", "1**1*",
@@ -240,6 +300,49 @@ class TestEnumerateMaxFamilies:
         with pytest.raises(RuntimeError, match="not proven"):
             enumerate_max_families(2, 4, cfg)
 
+    def test_enumeration_budget_reported(self):
+        # the optimizer closes (2,5) in 370 nodes; the walk then runs out
+        cfg = SearchConfig(budget_nodes=400)
+        with pytest.raises(EnumerationIncomplete, match="stopped by node-budget"):
+            enumerate_max_families(2, 5, cfg)
+
+    def test_time_budget_covers_the_closure(self, monkeypatch):
+        # a clock that jumps past the budget once the walk is done: closing
+        # the representatives under the group must stop on the budget
+        clock = [0.0]
+        monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
+        walk = _Enumerator.run
+
+        def slow_walk(engine):
+            walk(engine)
+            clock[0] += 10.0
+
+        monkeypatch.setattr(_Enumerator, "run", slow_walk)
+        with pytest.raises(EnumerationIncomplete, match="stopped by time-budget"):
+            enumerate_max_families(2, 4, SearchConfig(budget_secs=5.0))
+
+    def test_orbits_and_closure_match_plain_walk(self):
+        for d in range(1, 5):
+            for k in range(1, d + 1):
+                fams = enumerate_max_families(k, d)
+                plain = enumerate_max_families(k, d, SearchConfig(symmetry=False))
+                assert [f.texts() for f in fams] == [f.texts() for f in plain], (k, d)
+
+    def test_2_5_closed_under_the_group(self):
+        fams = enumerate_max_families(2, 5)
+        keys = {frozenset(f.texts()) for f in fams}
+        assert len(fams) == len(keys) == 2560
+        assert all(len(f) == 12 and verify_neighborly(f, 2).is_valid for f in fams)
+        # a transposition of the first two coordinates; a flip of the third
+        for g in [((1, 0, 2, 3, 4), (0,) * 5), ((0, 1, 2, 3, 4), (0, 0, 1, 0, 0))]:
+            assert {frozenset(_act(*g, t) for t in key) for key in keys} == keys
+
+    def test_cap_applies_to_the_closure(self):
+        # one orbit representative at (2,4) closes to 48 families
+        assert len(enumerate_max_families(2, 4, cap=48)) == 48
+        with pytest.raises(EnumerationCapExceeded, match="more than 47"):
+            enumerate_max_families(2, 4, cap=47)
+
 
 class TestVerifyCertificate:
     def test_accepts_real_results(self):
@@ -265,6 +368,13 @@ class TestVerifyCertificate:
         result = max_family(2, 3)
         tampered = replace(result, witness=tuple(result.witness.members[:-1]))
         assert not verify_certificate(tampered)
+
+    def test_rejects_malformed_witness(self):
+        result = max_family(2, 3)
+        members = tuple(result.witness.members)
+        assert not verify_certificate(replace(result, witness=(object(),) + members[1:]))
+        assert not verify_certificate(replace(result, witness=("000",) + members[1:]))
+        assert not verify_certificate(replace(result, witness=None))
 
     def test_rejects_wrong_dimension(self):
         result = max_family(2, 3)
@@ -304,10 +414,9 @@ class TestRawEngineDimensionFive:
             assert result.proven_optimal and result.optimum == want
 
 
-@pytest.mark.skipif(not os.environ.get("NBX_STRETCH"), reason="set NBX_STRETCH=1 to run")
 class TestStretchInstances:
     def test_2_6_proves_16(self):
-        # closes in roughly a minute; beyond the default suite's budget
+        # orbital branching closes it in a few seconds
         result = max_family(2, 6, SearchConfig(budget_secs=600))
         assert result.proven_optimal
         assert result.optimum == 16
