@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _above, _distance_rows, _nonzero, verify_neighborly
+from .families import Family, _above, _bits, _distance_rows, _nonzero, verify_neighborly
 from .strings import TernaryString, all_strings
 
 
@@ -423,7 +423,7 @@ def enumerate_max_families(
     records at least one family per isomorphism class; closing those under
     the coordinate permutations and flips gives every labelled family.
     ``cap`` bounds the count of families, and ``budget_secs`` counts from
-    entry, so it covers both runs.
+    entry, so it covers both walks and the closure.
     """
     start = time.monotonic()
     cfg = cfg or SearchConfig()
@@ -445,19 +445,10 @@ def enumerate_max_families(
     if cfg.symmetry:
         found = _close_under_group(found, ordered, d, cap, cfg.budget_secs, start)
     families = []
-    for idxs in sorted(_indices(f) for f in found):
+    for idxs in sorted(list(_bits(f)) for f in found):
         members = tuple(sorted((ordered[i] for i in idxs), key=str))
         families.append(Family(d, members))
     return families
-
-
-def _indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _close_under_group(
@@ -477,7 +468,7 @@ def _close_under_group(
     for fam in families:
         if fam in closure:
             continue
-        words = [(ordered[i].zero_mask, ordered[i].one_mask) for i in _indices(fam)]
+        words = [(ordered[i].zero_mask, ordered[i].one_mask) for i in _bits(fam)]
         for table in tables:
             if budget_secs is not None and time.monotonic() - start > budget_secs:
                 raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
