@@ -7,14 +7,16 @@ results are JSON, tables default to TSV when piped and an aligned layout
 on a terminal.
 
 Exit status: 0 on success, 1 when `verify` finds violations, 2 on usage
-errors.
+errors, 141 (128 + SIGPIPE) when stdout is closed before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import biclique, bounds, constructions, families, search
@@ -35,9 +37,29 @@ def _emit_family(fam: families.Family) -> None:
     sys.stdout.write(fam.to_nbx())
 
 
+_BLOCK = 4096  # encoder chunks or violation triples per write
+_TRIPLE = "    [\n      %d,\n      %d,\n      %d\n    ]"  # a violation, as json.dump lays it out
+
+
 def _emit_json(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
+    """``json.dump(data, sys.stdout, indent=2)`` and a newline, in blocks."""
+    chunks = json.JSONEncoder(indent=2).iterencode(data)
+    while block := "".join(islice(chunks, _BLOCK)):
+        sys.stdout.write(block)
     sys.stdout.write("\n")
+
+
+def _emit_report(report: families.NeighborlinessReport) -> None:
+    """``_emit_json(report.as_dict())``, with each violation triple written
+    by one format string instead of the pure-Python encoder."""
+    vs = report.violations
+    empty = type(report)(report.is_valid, report.min_distance, report.max_distance, ())
+    head = json.dumps(empty.as_dict(), indent=2)[:-4]  # cut '[]\n}' after "violations"
+    sep = head + "[\n"
+    for b in range(0, len(vs), _BLOCK):
+        sys.stdout.write(sep + ",\n".join([_TRIPLE % v for v in vs[b : b + _BLOCK]]))
+        sep = ",\n"
+    sys.stdout.write("\n  ]\n}\n" if vs else head + "[]\n}\n")
 
 
 def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
@@ -166,7 +188,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     fam = _load_family(args.file)
     report = families.verify_neighborly(fam, args.k)
-    _emit_json(report.as_dict())
+    _emit_report(report)
     return 0 if report.is_valid else 1
 
 
@@ -298,6 +320,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        raise  # a closed stdout is not a usage error: main ends quietly
     except search.CapacityExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2
@@ -309,7 +333,14 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: exit quietly, as SIGPIPE would
+        # what is still buffered goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

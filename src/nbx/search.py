@@ -123,20 +123,17 @@ class _Engine:
     log2(cube_volume) coordinates; given, the walk prunes by orbital
     branching under the coordinate permutations and 0/1 flips, and the
     volume buckets (one per joker count) are the orbits at the root.
-    Without it the walk is the plain clique search.
+    Without it the walk is the plain clique search.  ``deadline`` is the
+    time.monotonic() reading at which ``budget_secs`` runs out, or None.
     """
 
-    def __init__(
-        self, adj, vols, cube_volume, cutoff, budget_nodes, budget_secs, start, words=None
-    ):
+    def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, deadline, words=None):
         self.adj = adj
         self.vols = vols
         self.cube_volume = cube_volume
         self.cutoff = cutoff
         self.budget_nodes = budget_nodes
-        self.budget_secs = budget_secs
-        # time.monotonic() at search entry, so budget_secs covers every phase
-        self.start = start
+        self.deadline = deadline
         self.words = words
         self.nodes = 0
         self.best = 0
@@ -161,8 +158,8 @@ class _Engine:
         if self.budget_nodes is not None and self.nodes > self.budget_nodes:
             raise _BudgetExhausted("node-budget")
         # nodes 1, 1025, ...: a budget spent before the walk stops it at once
-        if self.budget_secs is not None and self.nodes & 1023 == 1:
-            if time.monotonic() - self.start > self.budget_secs:
+        if self.deadline is not None and self.nodes & 1023 == 1:
+            if time.monotonic() > self.deadline:
                 raise _BudgetExhausted("time-budget")
 
     def _improve(self, stack: list[int]):
@@ -304,10 +301,8 @@ class _Enumerator(_Engine):
     the walk never goes deeper than it.  With ``words`` at least one clique
     of each orbit is recorded."""
 
-    def __init__(
-        self, adj, vols, cube_volume, target, cap, budget_nodes, budget_secs, start, words=None
-    ):
-        super().__init__(adj, vols, cube_volume, target, budget_nodes, budget_secs, start, words)
+    def __init__(self, adj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
+        super().__init__(adj, vols, cube_volume, target, budget_nodes, deadline, words)
         self.best = target - 1
         self.cap = cap
         self.found: list[tuple[int, ...]] = []
@@ -318,29 +313,31 @@ class _Enumerator(_Engine):
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
-def _adjacency(strings: list[TernaryString], k: int) -> Iterator[int]:
-    """Adjacency bitmask of each string: the strings at distance 1..k."""
+def _adjacency(strings: list[TernaryString], k: int, deadline=None) -> Iterator[int]:
+    """Adjacency bitmask of each string: the strings at distance 1..k.
+    With a ``deadline`` the clock is read once per row."""
     full = (1 << len(strings)) - 1
     zs = [s.zero_mask for s in strings]
     os_ = [s.one_mask for s in strings]
     for count in _distance_rows(zs, os_, strings[0].length):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _BudgetExhausted("time-budget")
         yield _nonzero(count) & ~_above(count, k, full)
 
 
-def _build_graph(strings: list[TernaryString], k: int):
+def _build_graph(strings: list[TernaryString], k: int, deadline=None):
     """Order candidates (degree desc, jokers asc, text asc) and return the
     ordered strings with adjacency bitmasks."""
-    degrees = [row.bit_count() for row in _adjacency(strings, k)]
+    degrees = [row.bit_count() for row in _adjacency(strings, k, deadline)]
     order = sorted(
         range(len(strings)), key=lambda i: (-degrees[i], strings[i].jokers, str(strings[i]))
     )
     ordered = [strings[i] for i in order]
-    return ordered, list(_adjacency(ordered, k))
+    return ordered, list(_adjacency(ordered, k, deadline))
 
 
-def _search_graph(k: int, d: int, cfg: SearchConfig):
-    """Candidates for (k, d) under the capacity guard, in search order:
-    the ordered strings, their adjacency bitmasks and their volumes."""
+def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
+    """Candidates for (k, d), under the capacity guard."""
     strings = _candidates(k, d, cfg.joker_prune)
     if len(strings) > cfg.max_candidates:
         n = len(strings)
@@ -348,8 +345,7 @@ def _search_graph(k: int, d: int, cfg: SearchConfig):
             f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
             f" capacity {cfg.max_candidates}"
         )
-    ordered, adj = _build_graph(strings, k)
-    return ordered, adj, [1 << s.jokers for s in ordered]
+    return strings
 
 
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
@@ -362,21 +358,25 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
         raise ValueError("requires 1 <= k <= d")
     start = time.monotonic()
     cfg = cfg or SearchConfig()
-    ordered, adj, vols = _search_graph(k, d, cfg)
-    index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
+    deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
+    strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
-
-    words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
-    engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, cfg.budget_secs, start, words)
+    ordered, engine = [], None
     stopped = "complete"
     try:
+        ordered, adj = _build_graph(strings, k, deadline)
+        vols = [1 << s.jokers for s in ordered]
+        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+        engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
         if cfg.seed_incumbent:
-            _seed(engine, index_of, k, d)
+            _seed(engine, ordered, k, d)
         engine.run()
     except _Done:
         stopped = "cutoff"
     except _BudgetExhausted as exc:
         stopped = exc.reason
+    if engine is None:  # the time budget ran out in the graph build
+        engine = _Engine([], [], 1 << d, cutoff, None, None)
 
     members = tuple(sorted((ordered[i] for i in engine.witness), key=str))
     witness = Family(d, members)
@@ -386,7 +386,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     stats = {
         "nodes": engine.nodes,
         "elapsed_secs": time.monotonic() - start,
-        "candidates": len(ordered),
+        "candidates": len(strings),
         "upper_cutoff": cutoff if cfg.use_bounds_cutoff else None,
         "stopped": stopped,
         "budget_nodes": cfg.budget_nodes,
@@ -395,9 +395,10 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     return SearchResult(k, d, engine.best, witness, proven, stats)
 
 
-def _seed(engine: _Engine, index_of, k: int, d: int) -> None:
+def _seed(engine: _Engine, ordered: list[TernaryString], k: int, d: int) -> None:
     """Warm-start the incumbent with the best constructed family, when it
     maps onto the candidate set."""
+    index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
     try:
         constructed = realize_mbar(k, d)
     except ValueError:
@@ -423,19 +424,19 @@ def enumerate_max_families(
     records at least one family per isomorphism class; closing those under
     the coordinate permutations and flips gives every labelled family.
     ``cap`` bounds the count of families, and ``budget_secs`` counts from
-    entry, so it covers both walks and the closure.
+    entry, so it covers both graph builds, both walks and the closure.
     """
     start = time.monotonic()
     cfg = cfg or SearchConfig()
     base = max_family(k, d, cfg)
     if not base.proven_optimal:
         raise EnumerationIncomplete("optimum not proven within budget; cannot enumerate")
-    ordered, adj, vols = _search_graph(k, d, cfg)
-    words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
-    engine = _Enumerator(
-        adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, cfg.budget_secs, start, words
-    )
+    deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     try:
+        ordered, adj = _build_graph(_search_candidates(k, d, cfg), k, deadline)
+        vols = [1 << s.jokers for s in ordered]
+        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+        engine = _Enumerator(adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, deadline, words)
         engine.run()
     except _BudgetExhausted as exc:
         raise EnumerationIncomplete(
@@ -443,7 +444,7 @@ def enumerate_max_families(
         ) from None
     found = [sum(1 << i for i in t) for t in engine.found]
     if cfg.symmetry:
-        found = _close_under_group(found, ordered, d, cap, cfg.budget_secs, start)
+        found = _close_under_group(found, ordered, d, cap, deadline)
     families = []
     for idxs in sorted(list(_bits(f)) for f in found):
         members = tuple(sorted((ordered[i] for i in idxs), key=str))
@@ -451,9 +452,7 @@ def enumerate_max_families(
     return families
 
 
-def _close_under_group(
-    families: list[int], ordered, d: int, cap: int, budget_secs, start: float
-) -> set[int]:
+def _close_under_group(families: list[int], ordered, d: int, cap: int, deadline) -> set[int]:
     """Every image of the families (bitmasks over ``ordered``) under the
     d!·2^d coordinate permutations and 0/1 flips."""
     bit_of = {s.zero_mask | s.one_mask << d: 1 << i for i, s in enumerate(ordered)}
@@ -470,7 +469,7 @@ def _close_under_group(
             continue
         words = [(ordered[i].zero_mask, ordered[i].one_mask) for i in _bits(fam)]
         for table in tables:
-            if budget_secs is not None and time.monotonic() - start > budget_secs:
+            if deadline is not None and time.monotonic() > deadline:
                 raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
             moved = [(table[z], table[o]) for z, o in words]
             for flip in range(1 << d):

@@ -1,5 +1,4 @@
 import random
-import time
 from dataclasses import replace
 from itertools import permutations, product
 from math import comb
@@ -63,13 +62,12 @@ class TestEngineAgainstBruteForce:
                     if rng.random() < p:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            start = time.monotonic()
-            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None, start)
+            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None)
             engine.expand([], (1 << n) - 1, 0)
             omega = brute_force_clique_size(adj)
             assert engine.best == omega, (trial, n, p)
             # fixed-target mode of the same walk finds every maximum clique
-            enum = _Enumerator(adj, [1] * n, 1 << 30, omega, 1 << 30, None, None, start)
+            enum = _Enumerator(adj, [1] * n, 1 << 30, omega, 1 << 30, None, None)
             enum.expand([], (1 << n) - 1, 0)
             assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
 
@@ -92,7 +90,7 @@ class TestOrbits:
             texts = [str(s) for s in strings]
             n = len(strings)
             words = [(s.zero_mask, s.one_mask) for s in strings]
-            engine = _Engine([0] * n, [1] * n, 1 << d, n, None, None, 0.0, words)
+            engine = _Engine([0] * n, [1] * n, 1 << d, n, None, None, words)
             group = list(product(permutations(range(d)), product((0, 1), repeat=d)))
             for trial in range(25):
                 stack = rng.sample(range(n), rng.randint(0, 3))
@@ -189,15 +187,15 @@ class TestMaxFamily:
         assert verify_neighborly(result.witness, 2).is_valid
 
     def test_time_budget_counts_from_entry(self, monkeypatch):
-        # a clock that jumps past the budget while the graph is built: the
-        # walk must stop on the budget rather than run to completion
+        # a clock that jumps past the budget as the graph build starts: the
+        # first row of the build reads it, so no node is walked
         clock = [0.0]
         monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
         build = search._build_graph
 
-        def slow_build(strings, k):
+        def slow_build(strings, k, deadline):
             clock[0] += 10.0
-            return build(strings, k)
+            return build(strings, k, deadline)
 
         monkeypatch.setattr(search, "_build_graph", slow_build)
         cfg = SearchConfig(budget_secs=5.0, use_bounds_cutoff=False, seed_incumbent=False)
@@ -205,7 +203,44 @@ class TestMaxFamily:
         assert result.stats["stopped"] == "time-budget"
         assert not result.proven_optimal
         assert result.stats["elapsed_secs"] == 10.0
-        assert result.stats["nodes"] == 1  # the first tick reads the clock
+        assert result.stats["nodes"] == 0
+        assert result.stats["candidates"] == 232
+        assert result.optimum == 0 and len(result.witness) == 0
+
+    def test_graph_build_reads_the_clock_once_per_row(self, monkeypatch):
+        reads = [0]
+
+        def clock():
+            reads[0] += 1
+            return float(reads[0])
+
+        monkeypatch.setattr(search.time, "monotonic", clock)
+        strings = enumerate_candidates(2, 5)
+        search._build_graph(strings, 2)
+        assert reads[0] == 0  # no deadline, no clock
+        search._build_graph(strings, 2, deadline=1e9)
+        assert reads[0] == 2 * len(strings)  # the degree pass and the adjacency pass
+        # a budget that runs out halfway through the second pass
+        cfg = SearchConfig(budget_secs=1.5 * len(strings))
+        reads[0] = 0
+        result = max_family(2, 5, cfg)
+        assert result.stats["stopped"] == "time-budget"
+        assert (result.stats["nodes"], result.optimum, result.proven_optimal) == (0, 0, False)
+        reads[0] = 0
+        with pytest.raises(EnumerationIncomplete, match="not proven"):
+            enumerate_max_families(2, 5, cfg)
+
+    def test_no_time_budget_reads_the_clock_twice(self, monkeypatch):
+        # entry and elapsed_secs only: runs without budget_secs never look
+        reads = [0]
+
+        def clock():
+            reads[0] += 1
+            return 0.0
+
+        monkeypatch.setattr(search.time, "monotonic", clock)
+        result = max_family(2, 5, SearchConfig(use_bounds_cutoff=False))
+        assert result.proven_optimal and reads[0] == 2
 
     def test_capacity_guard(self):
         cfg = SearchConfig(max_candidates=10)
@@ -305,6 +340,25 @@ class TestEnumerateMaxFamilies:
         cfg = SearchConfig(budget_nodes=400)
         with pytest.raises(EnumerationIncomplete, match="stopped by node-budget"):
             enumerate_max_families(2, 5, cfg)
+
+    def test_time_budget_covers_the_second_graph_build(self, monkeypatch):
+        # the optimizer's build and walk fit the budget; the clock then jumps
+        # past it as the enumeration walk's graph is built
+        clock = [0.0]
+        monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
+        build = search._build_graph
+        calls = []
+
+        def slow_second_build(strings, k, deadline):
+            calls.append(k)
+            if len(calls) == 2:
+                clock[0] += 10.0
+            return build(strings, k, deadline)
+
+        monkeypatch.setattr(search, "_build_graph", slow_second_build)
+        with pytest.raises(EnumerationIncomplete, match="stopped by time-budget"):
+            enumerate_max_families(2, 4, SearchConfig(budget_secs=5.0))
+        assert len(calls) == 2
 
     def test_time_budget_covers_the_closure(self, monkeypatch):
         # a clock that jumps past the budget once the walk is done: closing
