@@ -6,7 +6,10 @@ Candidate sets, adjacency and partial solutions all live in Python-int
 bitmasks.  The solver is a sequential, deterministic branch and bound
 with three admissible prunes:
 
-* greedy coloring of the candidate set (classic clique bound);
+* greedy coloring of the candidate set (classic clique bound), peeled
+  over closed non-neighbourhood rows and listing only the classes that
+  can still beat the incumbent (MCQ, Tomita & Kameda, J. Global Optim.
+  37, 2007; BBMC, San Segundo et al., Comput. Oper. Res. 38, 2011);
 * disjoint-volume counting: the chosen subcubes plus the cheapest
   extension must fit in the 2^d cube points;
 * a global cutoff at the best closed-form upper bound, which also ends
@@ -119,16 +122,19 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Branch-and-bound state over one ordered candidate list.
 
-    ``words`` holds each candidate's (zero_mask, one_mask) over the
-    log2(cube_volume) coordinates; given, the walk prunes by orbital
-    branching under the coordinate permutations and 0/1 flips, and the
-    volume buckets (one per joker count) are the orbits at the root.
-    Without it the walk is the plain clique search.  ``deadline`` is the
-    time.monotonic() reading at which ``budget_secs`` runs out, or None.
+    It keeps the closed non-neighbourhood rows ``nadj[v] = ~(adj[v] | 1 << v)``
+    over the n candidates, not ``adj``.  ``words`` holds each candidate's
+    (zero_mask, one_mask) over the log2(cube_volume) coordinates; given,
+    the walk prunes by orbital branching under the coordinate permutations
+    and 0/1 flips, and the volume buckets (one per joker count) are the
+    orbits at the root.  Without it the walk is the plain clique search.
+    ``deadline`` is the time.monotonic() reading at which ``budget_secs``
+    runs out, or None.
     """
 
     def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, deadline, words=None):
-        self.adj = adj
+        full = (1 << len(adj)) - 1
+        self.nadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
         self.vols = vols
         self.cube_volume = cube_volume
         self.cutoff = cutoff
@@ -149,7 +155,7 @@ class _Engine:
     def run(self):
         """Walk the whole candidate set.  With symmetry the stack starts
         empty, so every coordinate shares the (empty, all-joker) column."""
-        n = len(self.adj)
+        n = len(self.nadj)
         classes = None if self.words is None else (self.cube_volume - 1, 0, ())
         self.expand([], (1 << n) - 1, 0, classes)
 
@@ -188,10 +194,13 @@ class _Engine:
                 break
         return extra
 
-    def _color_order(self, pool: int) -> list[tuple[int, int]]:
-        """Greedy coloring by peeling independent sets; returns (vertex,
-        color) with colors ascending."""
-        adj = self.adj
+    def _color_order(self, pool: int, kmin: int) -> list[tuple[int, int]]:
+        """Greedy coloring by peeling independent sets over the closed
+        non-neighbourhood rows; returns (vertex, color) with colors
+        ascending, listing only colors above ``kmin`` (as MCQ and BBMC do,
+        see the module docstring).  ``expand`` passes ``best - depth`` and
+        would never branch on a lower color, since ``best`` never falls."""
+        nadj = self.nadj
         order = []
         color = 0
         while pool:
@@ -200,9 +209,10 @@ class _Engine:
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v] & ~low
-                pool &= ~low
+                avail &= nadj[v]
+                pool ^= low
+                if color > kmin:
+                    order.append((v, color))
         return order
 
     def _refine(self, classes, v: int):
@@ -266,9 +276,9 @@ class _Engine:
             return
         if depth + self._volume_room(pool, self.cube_volume - used_volume) <= self.best:
             return
-        adj, vols, expand = self.adj, self.vols, self.expand
+        nadj, vols, expand = self.nadj, self.vols, self.expand
         if depth or classes is None:
-            order = reversed(self._color_order(pool))
+            order = reversed(self._color_order(pool, self.best - depth))
         else:  # the root: one vertex per joker count, fewest jokers first
             size = pool.bit_count()
             hits = [pool & b for b in self.buckets]
@@ -279,7 +289,7 @@ class _Engine:
                 return
             if not pool >> v & 1:
                 continue
-            sub = pool & adj[v]
+            sub = pool & ~nadj[v] ^ 1 << v
             stack.append(v)
             if depth + 1 > self.best:
                 self._improve(stack)
@@ -368,6 +378,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
         vols = [1 << s.jokers for s in ordered]
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
         engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
+        del adj  # the engine holds the complement rows
         if cfg.seed_incumbent:
             _seed(engine, ordered, k, d)
         engine.run()
@@ -437,6 +448,7 @@ def enumerate_max_families(
         vols = [1 << s.jokers for s in ordered]
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
         engine = _Enumerator(adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, deadline, words)
+        del adj
         engine.run()
     except _BudgetExhausted as exc:
         raise EnumerationIncomplete(
@@ -445,9 +457,12 @@ def enumerate_max_families(
     found = [sum(1 << i for i in t) for t in engine.found]
     if cfg.symmetry:
         found = _close_under_group(found, ordered, d, cap, deadline)
+    rank = [0] * len(ordered)  # each candidate's place in text order
+    for r, i in enumerate(sorted(range(len(ordered)), key=lambda i: str(ordered[i]))):
+        rank[i] = r
     families = []
     for idxs in sorted(list(_bits(f)) for f in found):
-        members = tuple(sorted((ordered[i] for i in idxs), key=str))
+        members = tuple(ordered[i] for i in sorted(idxs, key=rank.__getitem__))
         families.append(Family(d, members))
     return families
 

@@ -72,6 +72,48 @@ class TestEngineAgainstBruteForce:
             assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
 
 
+def _reference_color_order(adj, pool, kmin):
+    """The full greedy peel over the adjacency rows, then only the colors
+    above kmin."""
+    order, color = [], 0
+    while pool:
+        color += 1
+        avail = pool
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, color))
+            avail &= ~adj[v] & ~(1 << v)
+            pool &= ~(1 << v)
+    return [(v, c) for v, c in order if c > kmin]
+
+
+class TestColorOrder:
+    def test_matches_the_full_peel_above_kmin(self):
+        # pools up to 150 vertices cross machine-word boundaries; kmin runs
+        # past the number of colors, where nothing is listed
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randint(1, 150)
+            p = rng.choice([0.1, 0.5, 0.9])
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None)
+            full = (1 << n) - 1
+            # a row that kept v would never let the peel end: check the rows first
+            assert engine.nadj == [full & ~(adj[v] | 1 << v) for v in range(n)]
+            for _ in range(5):
+                pool = rng.getrandbits(n)
+                colors = max((c for _, c in _reference_color_order(adj, pool, 0)), default=0)
+                for kmin in range(colors + 2):
+                    want = _reference_color_order(adj, pool, kmin)
+                    assert engine._color_order(pool, kmin) == want, (trial, n, kmin)
+                    assert bool(want) == (kmin < colors)
+
+
 def _act(perm, flips, text):
     """Image of a word under a coordinate permutation and 0/1 flips."""
     out = [""] * len(text)
@@ -260,6 +302,25 @@ class TestMaxFamily:
         result = max_family(4, 7, SearchConfig(budget_nodes=2000))
         assert (result.stats["candidates"], result.stats["nodes"]) == (1808, 2001)
         assert result.stats["stopped"] == "node-budget"
+        assert result.optimum == 54
+        # the walk visits exactly these nodes; a change that makes each node
+        # cheaper must leave every count as it is
+        pins = [
+            ((3, 5, SearchConfig()), (18, 9899)),
+            ((4, 5, SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)), (24, 4340)),
+            ((2, 4, SearchConfig(symmetry=False)), (9, 880)),
+        ]
+        for (k, d, cfg), want in pins:
+            result = max_family(k, d, cfg)
+            assert result.proven_optimal
+            assert (result.optimum, result.stats["nodes"]) == want, (k, d)
+        # the fixed-target walk on its own: representatives up to symmetry
+        ordered, adj = search._build_graph(enumerate_candidates(2, 5), 2)
+        words = [(s.zero_mask, s.one_mask) for s in ordered]
+        vols = [1 << s.jokers for s in ordered]
+        enum = _Enumerator(adj, vols, 1 << 5, 12, 10**6, None, None, words)
+        enum.run()
+        assert (enum.nodes, len(enum.found)) == (1040, 7)
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
@@ -470,7 +531,8 @@ class TestRawEngineDimensionFive:
 
 class TestStretchInstances:
     def test_2_6_proves_16(self):
-        # orbital branching closes it in a few seconds
+        # orbital branching closes it in about a second
         result = max_family(2, 6, SearchConfig(budget_secs=600))
         assert result.proven_optimal
         assert result.optimum == 16
+        assert result.stats["nodes"] == 13465
