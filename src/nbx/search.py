@@ -30,14 +30,15 @@ only in what happens at a clique one larger than ``best``: the optimizer
 raises ``best``; the enumerator holds ``best`` at the proven optimum minus
 one and records the clique, so every prune serves both modes.  With
 symmetry the enumerator finds at least one family per isomorphism class,
-and closing those under the group gives every maximum family.
+and a worklist closure under three generators of the group (a cycle, a
+swap and a flip of coordinates) turns those into every maximum family.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from math import comb
 from typing import Iterator, Optional
 
 from .bounds import best_bounds
@@ -100,11 +101,10 @@ def enumerate_candidates(k: int, d: int) -> list[TernaryString]:
     those with at most d-k jokers.  Sorted by joker count, then text."""
     if not 1 <= k <= d:
         raise ValueError("requires 1 <= k <= d")
-    return _candidates(k, d, joker_prune=True)
+    return _candidates(d, d - k)
 
 
-def _candidates(k: int, d: int, joker_prune: bool) -> list[TernaryString]:
-    limit = d - k if joker_prune else d
+def _candidates(d: int, limit: int) -> list[TernaryString]:
     out = [s for s in all_strings(d) if s.jokers <= limit]
     out.sort(key=lambda s: (s.jokers, str(s)))
     return out
@@ -347,15 +347,16 @@ def _build_graph(strings: list[TernaryString], k: int, deadline=None):
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
-    """Candidates for (k, d), under the capacity guard."""
-    strings = _candidates(k, d, cfg.joker_prune)
-    if len(strings) > cfg.max_candidates:
-        n = len(strings)
+    """Candidates for (k, d), under the capacity guard, which counts them
+    (C(d, j)·2^(d-j) with j jokers) before any is built."""
+    limit = d - k if cfg.joker_prune else d
+    n = sum(comb(d, j) << d - j for j in range(limit + 1))
+    if n > cfg.max_candidates:
         raise CapacityExceeded(
             f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
             f" capacity {cfg.max_candidates}"
         )
-    return strings
+    return _candidates(d, limit)
 
 
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
@@ -433,7 +434,8 @@ def enumerate_max_families(
     same walk in fixed-target mode over the whole candidate set, recording
     cliques of the proven size.  With symmetry the walk prunes by orbits and
     records at least one family per isomorphism class; closing those under
-    the coordinate permutations and flips gives every labelled family.
+    three generators of the coordinate permutations and flips gives every
+    labelled family, at a cost that grows with their count, not with d!·2^d.
     ``cap`` bounds the count of families, and ``budget_secs`` counts from
     entry, so it covers both graph builds, both walks and the closure.
     """
@@ -469,32 +471,31 @@ def enumerate_max_families(
 
 def _close_under_group(families: list[int], ordered, d: int, cap: int, deadline) -> set[int]:
     """Every image of the families (bitmasks over ``ordered``) under the
-    d!·2^d coordinate permutations and 0/1 flips."""
-    bit_of = {s.zero_mask | s.one_mask << d: 1 << i for i, s in enumerate(ordered)}
-    tables = []  # per permutation, the image of every coordinate mask
-    for perm in permutations(range(d)):
-        table = [0] * (1 << d)
-        for m in range(1, 1 << d):
-            low = m & -m
-            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append(table)
-    closure: set[int] = set()
-    for fam in families:
-        if fam in closure:
-            continue
-        words = [(ordered[i].zero_mask, ordered[i].one_mask) for i in _bits(fam)]
-        for table in tables:
-            if deadline is not None and time.monotonic() > deadline:
-                raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
-            moved = [(table[z], table[o]) for z, o in words]
-            for flip in range(1 << d):
-                image = 0
-                for z, o in moved:
-                    image |= bit_of[(z & ~flip | o & flip) | (o & ~flip | z & flip) << d]
-                if image not in closure:
-                    closure.add(image)
-                    if len(closure) > cap:
-                        raise EnumerationCapExceeded(f"more than {cap} maximum families")
+    d!·2^d coordinate permutations and 0/1 flips: a worklist closure under
+    the cycle of all d coordinates, the swap of coordinates 0 and 1 and the
+    flip of coordinate 0.  The d-cycle and a transposition of adjacent
+    coordinates generate every permutation, and conjugating the flip by
+    those gives every flip.  The candidate set is closed under the group, so
+    each generator is a list of candidate indices."""
+    index = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
+    gens = [[index[f(z), f(o)] for z, o in index] for f in (
+        lambda m: (m << 1 | m >> d - 1) & (1 << d) - 1,  # the cycle: coordinate i to i + 1
+        lambda m: m ^ ((m ^ m >> 1) & 1) * 3 if d > 1 else m,  # the swap; none when d = 1
+    )]
+    gens.append([index[z ^ (z ^ o) & 1, o ^ (z ^ o) & 1] for z, o in index])
+    closure, work = set(families), [list(_bits(f)) for f in families]
+    while work:
+        if deadline is not None and time.monotonic() > deadline:
+            raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
+        members = work.pop()
+        for gen in gens:
+            moved = [gen[i] for i in members]
+            image = sum([1 << i for i in moved])
+            if image not in closure:
+                closure.add(image)
+                work.append(moved)
+                if len(closure) > cap:
+                    raise EnumerationCapExceeded(f"more than {cap} maximum families")
     return closure
 
 

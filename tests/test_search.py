@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -9,6 +9,7 @@ from nbx import (
     CapacityExceeded,
     EnumerationCapExceeded,
     EnumerationIncomplete,
+    Family,
     SearchConfig,
     all_strings,
     best_bounds,
@@ -290,6 +291,17 @@ class TestMaxFamily:
         with pytest.raises(CapacityExceeded, match=r"20 candidates \(adjacency 50 bytes\)"):
             max_family(2, 3, cfg)
 
+    def test_capacity_guard_counts_before_building(self, monkeypatch):
+        # refusing (2,16) must not first build its 3^16 strings
+        def no_strings(d):
+            raise AssertionError("candidates built before the capacity guard")
+
+        monkeypatch.setattr(search, "all_strings", no_strings)
+        assert candidate_count(2, 16) == 43_046_688
+        for run in (max_family, enumerate_max_families):
+            with pytest.raises(CapacityExceeded, match=r"^43046688 candidates"):
+                run(2, 16)
+
     def test_pinned_search_graph(self):
         # node counts depend on the candidate order of _build_graph
         result = max_family(2, 5)
@@ -358,7 +370,7 @@ class TestEnumerateMaxFamilies:
         assert all(len(f) == 3 for f in fams)
 
     def test_full_k_unique_maximum(self):
-        for d in (1, 2, 3):
+        for d in range(1, 8):
             fams = enumerate_max_families(d, d)
             assert len(fams) == 1
             assert all(m.is_binary for m in fams[0])
@@ -451,6 +463,45 @@ class TestEnumerateMaxFamilies:
         # a transposition of the first two coordinates; a flip of the third
         for g in [((1, 0, 2, 3, 4), (0,) * 5), ((0, 1, 2, 3, 4), (0, 0, 1, 0, 0))]:
             assert {frozenset(_act(*g, t) for t in key) for key in keys} == keys
+
+    def test_class_census(self):
+        # one closure per class not yet covered: (orbit size, is_partition,
+        # is_total_lamination) per class; the sizes divide |G| = d!·2^d and
+        # sum to the count of maximum families
+        T, F = True, False
+        census = {
+            (1, 2): [(4, T, T)],
+            (2, 3): [(12, T, T)],
+            (2, 4): [(48, T, T)],
+            (1, 3): [(6, T, T), (16, F, F), (24, T, T)],
+            (1, 4): [(48, T, T), (64, F, F), (96, T, T), (128, F, F), (192, F, F),
+                     (192, F, F), (192, T, T), (384, F, F)],
+            (3, 4): [(8, T, T), (24, T, T), (32, T, T), (48, T, T), (48, T, T), (96, T, T),
+                     (128, T, F)],
+            (2, 5): [(240, T, T), (240, T, T), (480, T, T), (640, F, F), (960, T, T)],
+            (3, 5): [(240, T, T), (240, T, T), (480, T, T), (480, T, T), (480, T, T),
+                     (960, T, T)],
+        }
+        for (k, d), want in census.items():
+            ordered, adj = search._build_graph(enumerate_candidates(k, d), k)
+            words = [(s.zero_mask, s.one_mask) for s in ordered]
+            vols = [1 << s.jokers for s in ordered]
+            enum = _Enumerator(adj, vols, 1 << d, max_family(k, d).optimum, 10**6, None, None,
+                               words)
+            enum.run()
+            covered, got = set(), []
+            for rep in enum.found:
+                mask = sum(1 << i for i in rep)
+                if mask in covered:
+                    continue
+                orbit = search._close_under_group([mask], ordered, d, 10**6, None)
+                covered |= orbit
+                fam = Family(d, tuple(ordered[i] for i in rep))
+                got.append((len(orbit), is_partition(fam), is_total_lamination(fam)))
+            assert all((factorial(d) << d) % size == 0 for size, _, _ in got), (k, d)
+            assert sum(size for size, _, _ in got) == len(covered), (k, d)
+            assert len(covered) == len(enumerate_max_families(k, d)), (k, d)
+            assert sorted(got) == want, (k, d)
 
     def test_cap_applies_to_the_closure(self):
         # one orbit representative at (2,4) closes to 48 families
