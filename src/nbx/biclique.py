@@ -14,9 +14,10 @@ is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .families import Family, _above, _bits, _distance_rows, _nonzero
+from .families import Family, Violations, _above, _distance_rows, _nonzero
 from .strings import TernaryString
 
 
@@ -81,7 +82,7 @@ class CoverReport:
 
     is_valid: bool
     histogram: tuple[tuple[int, int], ...]  # (multiplicity, edge count)
-    violations: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity)
+    violations: Sequence[tuple[int, int, int]]  # (u, v, multiplicity), u < v
 
     def as_dict(self) -> dict:
         return {
@@ -143,8 +144,8 @@ def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
     k = min(max(k, 0), d)  # _above reads only d.bit_length() bits of k
     full = (1 << n) - 1
     at_least = [n * (n - 1) // 2] + [0] * (d + 1)  # edges covered >= m times
-    violations = []
-    for u, count in enumerate(_distance_rows(zs, os_, d)):
+    rows = []
+    for u, count in _distance_rows(zs, os_, d):
         upper = full >> (u + 1) << (u + 1)
         for m in range(d):
             cols = _above(count, m, upper)
@@ -152,8 +153,8 @@ def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
                 break
             at_least[m + 1] += cols.bit_count()
         bad = upper & (~_nonzero(count) | _above(count, k, full))
-        for v in _bits(bad):
-            violations.append((u, v, ((zs[u] & os_[v]) | (os_[u] & zs[v])).bit_count()))
+        if bad:
+            rows.append((u, bad))
     pairs = zip(at_least, at_least[1:])
     histogram = tuple((m, a - b) for m, (a, b) in enumerate(pairs) if a > b)
-    return CoverReport(not violations, histogram, tuple(violations))
+    return CoverReport(not rows, histogram, Violations(rows, zs, os_))

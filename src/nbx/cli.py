@@ -52,14 +52,14 @@ def _emit_json(data) -> None:
 def _emit_report(report: families.NeighborlinessReport) -> None:
     """``_emit_json(report.as_dict())``, with each violation triple written
     by one format string instead of the pure-Python encoder."""
-    vs = report.violations
+    triples = iter(report.violations)
     empty = type(report)(report.is_valid, report.min_distance, report.max_distance, ())
     head = json.dumps(empty.as_dict(), indent=2)[:-4]  # cut '[]\n}' after "violations"
     sep = head + "[\n"
-    for b in range(0, len(vs), _BLOCK):
-        sys.stdout.write(sep + ",\n".join([_TRIPLE % v for v in vs[b : b + _BLOCK]]))
+    while block := ",\n".join([_TRIPLE % v for v in islice(triples, _BLOCK)]):
+        sys.stdout.write(sep + block)
         sep = ",\n"
-    sys.stdout.write("\n  ]\n}\n" if vs else head + "[]\n}\n")
+    sys.stdout.write("\n  ]\n}\n" if sep == ",\n" else head + "[]\n}\n")
 
 
 def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:

@@ -16,16 +16,22 @@ dist(i, j); jokers add nothing.  This is the bit-sliced vertical counter
 of the Harley-Seal popcount (Muła, Kurz and Lemire, arXiv:1611.07612),
 fed one ripple-carry addition per coordinate: a row of distances costs
 O(d) word-parallel operations on n-bit ints instead of n scalar popcounts.
-Comparisons on the counter (``_nonzero``, ``_above``, ``_max_in``,
-``_min_in``) give the distance-0 columns, the columns beyond k, and the
-extreme distances.
+Rows come in prefix-trie order (the members sorted by their words,
+coordinate 0 first), and each row restarts from the counter of the
+longest prefix it shares with the previous one, so a structured family
+pays for each distinct prefix once.  The counters are shared between
+rows and read-only to callers.  Comparisons on the counter (``_nonzero``,
+``_above``, ``_max_in``, ``_min_in``) give the distance-0 columns, the
+columns beyond k, and the extreme distances.
 
 Everything is read-only over immutable inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString
@@ -122,31 +128,43 @@ def _transpose(masks: list[int], d: int) -> list[int]:
     return [int("0" + rows[d - 1 - c :: d][::-1], 2) for c in range(d)]
 
 
-def _distance_rows(zero_masks: list[int], one_masks: list[int], d: int) -> Iterator[list[int]]:
-    """For each member i, a bit-sliced counter whose column j holds dist(i, j).
+def _distance_rows(zero_masks: list[int], one_masks: list[int], d: int) -> Iterator[tuple]:
+    """Yield ``(i, count)`` for each member i, where column j of the
+    bit-sliced counter ``count`` holds dist(i, j), in prefix-trie order.
 
     The counter is ``d.bit_length()`` n-bit ints, least significant slice
-    first.  Masks must lie within d bits.
+    first; it is shared with later rows, so callers must not change it.
+    Masks must lie within d bits.
     """
     zs_t = _transpose(zero_masks, d)
     os_t = _transpose(one_masks, d)
     width = d.bit_length()
-    for z, o in zip(zero_masks, one_masks):
-        count = [0] * width
-        for c in range(d):
+    fmt = f"0{d}b"  # reversed, coordinate 0 is the leading base-4 digit: * < 0 < 1
+    key = [int(format(z, fmt)[::-1], 4) + 2 * int(format(o, fmt)[::-1], 4)
+           for z, o in zip(zero_masks, one_masks)]
+    stack = [[0] * width] * (d + 1)  # stack[c]: the counter over coordinates < c
+    pz = po = -1  # z & o == 0, so the first member differs from this at coordinate 0
+    for i in sorted(range(len(key)), key=key.__getitem__):
+        z, o = zero_masks[i], one_masks[i]
+        diff = (z ^ pz) | (o ^ po)
+        pz, po = z, o
+        for c in range((diff & -diff).bit_length() - 1 if diff else d, d):
             if z >> c & 1:
                 x = os_t[c]
             elif o >> c & 1:
                 x = zs_t[c]
             else:
+                stack[c + 1] = stack[c]  # a joker adds nothing
                 continue
+            count = stack[c][:]
             for b in range(width):  # ripple-add the one-bit column vector x
                 s = count[b]
                 count[b] = s ^ x
                 x &= s
                 if not x:
                     break
-        yield count
+            stack[c + 1] = count
+        yield i, stack[d]
 
 
 def _nonzero(count: list[int]) -> int:
@@ -210,11 +228,56 @@ def _is_partition_masks(zero_masks: list[int], one_masks: list[int], d: int) -> 
     if sum(1 << (d - (z | o).bit_count()) for z, o in zip(zero_masks, one_masks)) != 1 << d:
         return False
     full = (1 << len(zero_masks)) - 1
-    for i, count in enumerate(_distance_rows(zero_masks, one_masks, d)):
+    for i, count in _distance_rows(zero_masks, one_masks, d):
         upper = full >> (i + 1) << (i + 1)
         if upper & ~_nonzero(count):
             return False
     return True
+
+
+class Violations(Sequence):
+    """Read-only sequence of the violating pairs ``(i, j, dist(i, j))``, i < j,
+    in (i, j) order, kept as one column mask per violating row i.  It
+    compares, hashes and prints as the tuple of its triples.  A positional
+    read walks the rows, so ``reversed`` and ``index`` expand them once."""
+
+    def __init__(self, rows: list[tuple[int, int]], zero_masks: list[int], one_masks: list[int]):
+        self._rows = sorted(rows)  # (i, mask of the violating columns j > i)
+        self._zs, self._os = zero_masks, one_masks
+        self._len = sum(mask.bit_count() for _, mask in self._rows)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        zs, os_ = self._zs, self._os
+        for i, mask in self._rows:
+            zi, oi = zs[i], os_[i]
+            js = list(_bits(mask))
+            yield from zip(repeat(i), js, [((zi & os_[j]) | (oi & zs[j])).bit_count() for j in js])
+
+    def __getitem__(self, index):
+        r = range(self._len)[index]
+        if isinstance(r, int):
+            return next(islice(self, r, None))
+        return tuple(islice(self, r.start, r.stop, r.step)) if r.step > 0 else tuple(self)[index]
+
+    def __reversed__(self) -> Iterator[tuple[int, int, int]]:
+        return reversed(tuple(self))
+
+    def index(self, value, *bounds) -> int:
+        return tuple(self).index(value, *bounds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, Violations)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -224,7 +287,7 @@ class NeighborlinessReport:
     is_valid: bool
     min_distance: Optional[int]
     max_distance: Optional[int]
-    violations: tuple[tuple[int, int, int], ...]
+    violations: Sequence[tuple[int, int, int]]
 
     def as_dict(self) -> dict:
         return {
@@ -239,7 +302,10 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     """Check that every pairwise distance lies in [1, k].
 
     Violating pairs are reported as (i, j, distance) with 0-based member
-    indices.  A single-member family is vacuously valid.
+    indices, i < j, in (i, j) order.  They are kept as one column mask per
+    violating row, a ``Violations`` sequence, so they take at most n²/16
+    bytes of masks rather than a tuple per pair.  A single-member family is
+    vacuously valid.
     """
     if len(family) < 1:
         raise ValueError("family must have at least one member")
@@ -248,24 +314,25 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     zs = [m.zero_mask for m in family.members]
     os_ = [m.one_mask for m in family.members]
     full = (1 << len(zs)) - 1
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    violations = []
-    for i, count in enumerate(_distance_rows(zs, os_, family.dimension)):
+    lo, hi = family.dimension + 1, 0  # beyond every distance; then lo only falls, hi only rises
+    rows = []
+    for i, count in _distance_rows(zs, os_, family.dimension):
         upper = full >> (i + 1) << (i + 1)
         if not upper:
-            break
-        row_lo, row_hi = _min_in(count, upper), _max_in(count, upper)
-        if lo is None or row_lo < lo:
-            lo = row_lo
-        if hi is None or row_hi > hi:
-            hi = row_hi
-        bad = upper & (~_nonzero(count) | _above(count, k, full))
+            continue
+        bad = upper & ~_nonzero(count)
+        far = _above(count, k, upper)
         if bad:
-            zi, oi = zs[i], os_[i]
-            for j in _bits(bad):
-                violations.append((i, j, ((zi & os_[j]) | (oi & zs[j])).bit_count()))
-    return NeighborlinessReport(not violations, lo, hi, tuple(violations))
+            lo = 0
+        elif lo > 1:
+            lo = min(lo, _min_in(count, upper))
+        if hi < k or far:  # once hi >= k, only the columns beyond k can raise it
+            hi = max(hi, _max_in(count, upper if hi < k else far))
+        if bad | far:
+            rows.append((i, bad | far))
+    if len(zs) == 1:
+        lo = hi = None
+    return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_))
 
 
 def volume(family: Family) -> int:
@@ -396,5 +463,5 @@ def diameter(points: Iterable[TernaryString]) -> int:
     # joker-free, so the distance is the Hamming distance; dist(i, i) = 0
     return max(
         _max_in(count, full)
-        for count in _distance_rows([p.zero_mask for p in pts], [p.one_mask for p in pts], d)
+        for _, count in _distance_rows([p.zero_mask for p in pts], [p.one_mask for p in pts], d)
     )

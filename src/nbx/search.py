@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
@@ -323,16 +323,18 @@ class _Enumerator(_Engine):
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
-def _adjacency(strings: list[TernaryString], k: int, deadline=None) -> Iterator[int]:
-    """Adjacency bitmask of each string: the strings at distance 1..k.
-    With a ``deadline`` the clock is read once per row."""
+def _adjacency(strings: list[TernaryString], k: int, deadline=None) -> list[int]:
+    """Adjacency bitmask of each string, in index order: the strings at
+    distance 1..k.  With a ``deadline`` the clock is read once per row."""
     full = (1 << len(strings)) - 1
     zs = [s.zero_mask for s in strings]
     os_ = [s.one_mask for s in strings]
-    for count in _distance_rows(zs, os_, strings[0].length):
+    rows = [0] * len(strings)
+    for i, count in _distance_rows(zs, os_, strings[0].length):
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted("time-budget")
-        yield _nonzero(count) & ~_above(count, k, full)
+        rows[i] = _nonzero(count) & ~_above(count, k, full)
+    return rows
 
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
@@ -343,7 +345,7 @@ def _build_graph(strings: list[TernaryString], k: int, deadline=None):
         range(len(strings)), key=lambda i: (-degrees[i], strings[i].jokers, str(strings[i]))
     )
     ordered = [strings[i] for i in order]
-    return ordered, list(_adjacency(ordered, k, deadline))
+    return ordered, _adjacency(ordered, k, deadline)
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:

@@ -12,15 +12,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbx import Family, NeighborlinessReport, SearchConfig, verify_neighborly
 from nbx import biclique, bounds, constructions, search
-from nbx.cli import _BLOCK, _emit_json, _emit_report
+from nbx.cli import _BLOCK, _emit_json, _emit_report, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +88,46 @@ def test_report_of_a_single_member_family():
     report = verify_neighborly(Family.of(["0*1"]), 1)
     assert (report.min_distance, report.max_distance) == (None, None)
     assert printed(_emit_report, report) == json.dumps(report.as_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("joker_first", [True, False])
+def test_verify_prints_the_json_report(count, joker_first, tmp_path, capsys):
+    # the all-joker word is at distance 0 from every other word, and the
+    # binary words of length 13 are within k = 13 of each other: exactly
+    # `count` violations, in one row (joker first) or one per row (joker last)
+    binary = ["".join(w) for w in product("01", repeat=13)][:count]
+    words = ["*" * 13, *binary] if joker_first else [*binary, "*" * 13]
+    path = tmp_path / "fam.nbx"
+    path.write_text("".join(w + "\n" for w in words))
+    report = verify_neighborly(Family.of(words), 13)
+    assert len(report.violations) == count
+    assert run(["verify", str(path), "--k", "13"]) == (1 if count else 0)
+    assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2) + "\n"
+
+
+class NullStdout:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_verify_memory_does_not_grow_with_the_violations(tmp_path):
+    # 1,300 random words of length 16 at k = 5 have 120,588 violating pairs.
+    # Held as one 3-tuple per pair, they made this command peak at 13.1 MB
+    # under tracemalloc (CPython 3.11); one column mask per row peaks at 1.5 MB
+    rng = random.Random(2024)
+    words = list(dict.fromkeys("".join(rng.choice("01*") for _ in range(16)) for _ in range(1300)))
+    path = tmp_path / "random.nbx"
+    path.write_text("".join(w + "\n" for w in words))
+    tracemalloc.start()
+    try:
+        with redirect_stdout(NullStdout()):
+            assert run(["verify", str(path), "--k", "5"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verify_neighborly(Family.of(words), 5).violations) == 120_588
+    assert peak < 13.1e6 / 4, peak
 
 
 def test_report_writer_writes_one_block_at_a_time(monkeypatch):

@@ -11,16 +11,21 @@ derandomized, so the examples are the same on every run.
 """
 
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbx import (
     BicliqueCover,
     Family,
     TernaryString,
+    NeighborlinessReport,
     diameter,
+    extremal_dminus1,
     is_partition,
     is_total_lamination,
+    realize_mbar,
     verify_cover,
     verify_neighborly,
 )
@@ -77,13 +82,51 @@ def test_counter_columns_and_every_k(words):
     full = (1 << n) - 1
     zs = [m.zero_mask for m in fam]
     os_ = [m.one_mask for m in fam]
-    for i, count in enumerate(_distance_rows(zs, os_, d)):
+    seen = []
+    for i, count in _distance_rows(zs, os_, d):
+        seen.append(i)
         assert len(count) == d.bit_length()
         for j in range(n):
             assert sum((s >> j & 1) << b for b, s in enumerate(count)) == dist[i][j]
         assert _nonzero(count) == as_mask(j for j in range(n) if dist[i][j])
         for k in range(1, d + 1):
             assert _above(count, k, full) == as_mask(j for j in range(n) if dist[i][j] > k)
+    assert sorted(seen) == list(range(n))
+
+
+def assert_rows_match_oracle(words: list[str]) -> None:
+    """Every index is yielded once, with the oracle's distances in its columns."""
+    fam = Family.of(words)
+    zs = [m.zero_mask for m in fam]
+    os_ = [m.one_mask for m in fam]
+    dist = oracle_distances(words)
+    seen = []
+    for i, count in _distance_rows(zs, os_, fam.dimension):
+        seen.append(i)
+        got = [sum((s >> j & 1) << b for b, s in enumerate(count)) for j in range(len(words))]
+        assert got == dist[i], (words[i], i)
+    assert sorted(seen) == list(range(len(words)))
+
+
+def test_rows_on_families_with_shared_prefixes():
+    # rows restart from the longest prefix shared with the previous row, so
+    # families whose members share long prefixes reuse the most counters
+    rng = random.Random(11)
+    families = [extremal_dminus1(d).texts() for d in range(2, 8)]
+    families.append(realize_mbar(2, 6).texts())
+    families += [["".join(w) for w in product("01*", repeat=d)] for d in range(1, 5)]
+    for words in families:
+        assert_rows_match_oracle(words)
+        shuffled = words[:]
+        rng.shuffle(shuffled)
+        assert_rows_match_oracle(shuffled)
+        assert_rows_match_oracle(shuffled[::-1])
+
+
+def test_rows_of_one_member_and_of_length_one():
+    for words in (["*"], ["0"], ["1"], ["01*"], ["1", "0"], ["*", "1"], ["0", "*", "1"]):
+        assert_rows_match_oracle(words)
+    assert list(_distance_rows([0b10], [0b01], 2)) == [(0, [0, 0])]
 
 
 @KERNEL
@@ -98,6 +141,67 @@ def test_verify_neighborly(words, data):
     assert report.is_valid == (not report.violations)
     assert report.min_distance == min((p[2] for p in pairs), default=None)
     assert report.max_distance == max((p[2] for p in pairs), default=None)
+
+
+@KERNEL
+@given(
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.3, 0.6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_verify_neighborly_extremes_inside_the_window(d, gap, joker_rate, seed):
+    # a greedy code at distance >= gap keeps the minimum above 1 when gap > 1,
+    # and every k at or above the largest distance leaves the maximum below k
+    words: list[str] = []
+    for w in random_words(random.Random(seed), 80, d, joker_rate, False):
+        if all(sym_distance(w, v) >= gap for v in words):
+            words.append(w)
+    fam = Family.of(words)
+    dist = [sym_distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :]]
+    lo, hi = min(dist, default=None), max(dist, default=None)
+    for k in range(1, d + 1):
+        report = verify_neighborly(fam, k)
+        assert (report.min_distance, report.max_distance) == (lo, hi), k
+        assert len(report.violations) == sum(1 for x in dist if x == 0 or x > k)
+
+
+@KERNEL
+@given(random_families(), st.data())
+def test_violations_behave_as_the_tuple_of_triples(words, data):
+    fam = Family.of(words)
+    k = data.draw(st.integers(1, fam.dimension))
+    dist = oracle_distances(words)
+    n = len(words)
+    want = tuple(
+        (i, j, dist[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if dist[i][j] == 0 or dist[i][j] > k
+    )
+    report = verify_neighborly(fam, k)
+    got = report.violations
+    assert len(got) == len(want) and bool(got) == bool(want)
+    assert list(got) == list(want) and list(reversed(got)) == list(reversed(want))
+    assert got == want and want == got and not got != want
+    assert got != want + ((0, 0, 0),) and got != list(want)
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    fields = (report.is_valid, report.min_distance, report.max_distance)
+    assert report == NeighborlinessReport(*fields, want) and hash(report) == hash((*fields, want))
+    slices = [slice(None, 3), slice(-1, None), slice(None, None, -1), slice(1, None, 2),
+              slice(5, 2), slice(-3, None, -2), slice(2, -1, 3), slice(10**9, None)]
+    for sl in slices:
+        assert got[sl] == want[sl], sl
+    assert (0, 0, 0) not in got and [0, 1, 0] not in got
+    if want:
+        probe = data.draw(st.sampled_from(want))
+        assert probe in got and got.index(probe) == want.index(probe)
+        assert (probe[0], probe[1], probe[2] + 1) not in got
+        assert got[0] == want[0] and got[-1] == want[-1] and got[-len(want)] == want[0]
+        assert got.count(probe) == 1
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
 
 
 @KERNEL
@@ -199,3 +303,14 @@ def random_covers(draw):
 def test_verify_cover(cover):
     for k in range(-1, cover.d + 3):  # k > d exercises the clamp to d
         assert verify_cover(cover, k) == cover_report(cover, k), k
+
+
+def test_verify_cover_with_indistinguishable_vertices():
+    # vertices 0, 1 and 4 share a word (so do 2 and 5): their edges are
+    # covered 0 times, and equal words give the kernel an empty restart
+    cover = BicliqueCover.of(6, [({0, 1, 4}, {2, 5}), ({0, 1, 4, 3}, set()), ({3}, {2, 5})])
+    for k in range(-1, cover.d + 2):
+        report = verify_cover(cover, k)
+        assert report == cover_report(cover, k), k
+        assert hash(report) == hash(cover_report(cover, k))
+    assert {(0, 1, 0), (0, 4, 0), (1, 4, 0), (2, 5, 0)} <= set(verify_cover(cover, 3).violations)
