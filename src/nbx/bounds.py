@@ -214,11 +214,22 @@ class BoundsEntry:
 
 
 def best_bounds(k: int, d: int) -> BoundsEntry:
-    """Aggregate every applicable method; methods are recorded so tables
-    can tell exact values from bounds.
+    """Best lower and upper bound for one cell, each with its method.
 
     k = 1, k = d-1 and k = d are routed to their exactly known values
-    before any formula of restricted validity is consulted.
+    before any formula of restricted validity is consulted.  Each side
+    keeps the first best candidate, so huang-sudakov wins an upper tie.
+    No other upper formula can be printed, so none is evaluated (checked
+    for 2 <= k <= d-2, d <= 80 in tests/test_bounds.py):
+
+    * alon_upper exceeds huang_sudakov_upper term by term;
+    * greedy_kappa_upper (greedy, profile a) < 2^d: sum a_i <= sum 2^i a_i
+      <= 2^d, equal only for a = (kappa(k, d), 0, ...), and kappa(k, d) < 2^d;
+    * split_upper(k, d, t) > greedy for every t: sum_{i<t} a_i <=
+      kappa(k+2t-2, d) <= sum_{i <= ceil((k+2t-2)/2)} C(d, i), and
+      2^t sum_{i>=t} a_i <= 2^d - a_0 < 2^d;
+    * refined_upper >= greedy, measured for d <= 160 but not proved; on a
+      tie greedy-kappa is the label printed.
     """
     _check_kd(k, d)
     if k == d:
@@ -231,28 +242,16 @@ def best_bounds(k: int, d: int) -> BoundsEntry:
         exact = Bound(d + 1, "exact:d+1")
         return BoundsEntry(k, d, exact, exact)
 
-    lowers = [
+    lower = max([
         Bound(alon_lower(k, d), "product"),
         Bound(ball_lower(k, d), "ball"),
         Bound(m_value(k, d).value, "fragmented"),
         Bound(mbar_value(k, d).value, "fragmented-product"),
-    ]
-    lower = lowers[0]
-    for cand in lowers[1:]:
-        if cand.value > lower.value:
-            lower = cand
-
-    uppers = [Bound(1 << d, "trivial"), Bound(alon_upper(k, d), "alon"),
-              Bound(huang_sudakov_upper(k, d), "huang-sudakov")]
-    value, t = split_upper_best(k, d)
-    uppers.append(Bound(value, f"split(t={t})"))
-    uppers.append(Bound(greedy_kappa_upper(k, d)[0], "greedy-kappa"))
-    uppers.append(Bound(refined_upper(k, d), "refined"))
-    upper = uppers[0]
-    for cand in uppers[1:]:
-        if cand.value < upper.value:
-            upper = cand
-
+    ], key=lambda b: b.value)
+    upper = min([
+        Bound(huang_sudakov_upper(k, d), "huang-sudakov"),
+        Bound(greedy_kappa_upper(k, d)[0], "greedy-kappa"),
+    ], key=lambda b: b.value)
     return BoundsEntry(k, d, lower, upper)
 
 

@@ -191,9 +191,15 @@ class TestRefinedUpper:
             assert refined_upper(d - 1, d) == 3 * 2 ** (d - 2)
 
     def test_greedy_below_refined(self):
-        for d in range(2, 17):
+        # the counts stated in the refined_upper docstring
+        cells = above = 0
+        for d in range(2, 41):
             for k in range(1, d):
-                assert greedy_kappa_upper(k, d)[0] <= refined_upper(k, d)
+                greedy, refined = greedy_kappa_upper(k, d)[0], refined_upper(k, d)
+                assert greedy <= refined, (k, d)
+                cells += 1
+                above += refined > greedy
+        assert (cells, above) == (780, 416)
 
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError):
@@ -219,7 +225,7 @@ class TestBestBounds:
     def test_methods_recorded(self):
         entry = best_bounds(2, 7)
         assert entry.lower == Bound(21, "fragmented")
-        assert entry.upper.method in {"greedy-kappa", "refined"}
+        assert entry.upper == Bound(35, "greedy-kappa")
         assert not entry.exact
 
     def test_every_lower_below_every_upper(self):
@@ -233,6 +239,21 @@ class TestBestBounds:
                     uppers.append(split_upper_best(k, d)[0])
                     uppers.append(refined_upper(k, d))
                 assert max(lowers) <= min(uppers), (k, d)
+
+    def test_dropped_upper_formulas_never_win(self):
+        # best_bounds consults only huang-sudakov and greedy-kappa off the
+        # exact rules; each of its docstring's reasons, cell by cell
+        cells = 0
+        for d in range(4, 81):
+            for k in range(2, d - 1):
+                greedy = greedy_kappa_upper(k, d)[0]
+                assert alon_upper(k, d) > huang_sudakov_upper(k, d), (k, d)
+                assert greedy < 1 << d, (k, d)
+                for t in range(1, (d - 1 - k) // 2 + 2):
+                    assert split_upper(k, d, t) > greedy, (k, d, t)
+                assert refined_upper(k, d) >= greedy, (k, d)
+                cells += 1
+        assert cells == 3003
 
     def test_entry_invariants(self):
         for d in range(1, 13):

@@ -6,6 +6,7 @@ other JSON command through ``cli._emit_json``.  Both must print exactly
 stdout must end the command with exit status 141 and nothing on stderr.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -173,6 +174,20 @@ def test_json_writer_matches_json_dump_on_every_payload():
     ]
     for data in payloads:
         assert printed(_emit_json, data) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args, size, digest", [
+    ("table --kmax 40 --dmax 40 --json", 167_520,
+     "ac90a7b33124304adb7ae907791313e830363ead1f1d23d695f0979d72c30972"),
+    ("audit --kmax 40 --dmax 40 --json", 92_261,
+     "df93219177741cab7e16a9bc92c1479659953617a378bffa3ae80b12c496630b"),
+], ids=["table", "audit"])
+def test_bounds_grid_output_is_pinned(args, size, digest, capsys):
+    # taken when best_bounds still evaluated every upper formula, so a
+    # change in any printed value or method label shows here
+    assert run(args.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def closed_early(args: list[str], tmp_path: Path) -> tuple[int, bytes]:
