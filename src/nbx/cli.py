@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symmetry", action="store_true", help="plain walk: no orbital branching")
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every maximum family")
-    p.add_argument("--force", action="store_true", help="lift the candidate-count capacity")
+    p.add_argument("--force", action="store_true", help="lift the candidate and enumeration caps")
 
     p = sub.add_parser("mkd", help="fragmented-construction optimum m(k, d)")
     p.add_argument("k", type=int)
@@ -237,7 +237,8 @@ def _cmd_search(args) -> int:
     if args.force:
         cfg.max_candidates = 1 << 62
     if args.enumerate_all:
-        fams = search.enumerate_max_families(args.k, args.d, cfg)
+        lifted = {"cap": 1 << 62} if args.force else {}
+        fams = search.enumerate_max_families(args.k, args.d, cfg, **lifted)
         _emit_json(
             {
                 "k": args.k,

@@ -2,9 +2,9 @@
 
 The problem is a maximum clique instance: vertices are the candidate
 strings, with an edge where the pairwise distance lies in [1, k].
-Candidate sets, adjacency and partial solutions all live in Python-int
-bitmasks.  The solver is a sequential, deterministic branch and bound
-with three admissible prunes:
+Candidate sets, non-neighbourhood rows and partial solutions all live in
+Python-int bitmasks.  The solver is a sequential, deterministic branch
+and bound with three admissible prunes:
 
 * greedy coloring of the candidate set (classic clique bound), peeled
   over closed non-neighbourhood rows and listing only the classes that
@@ -122,19 +122,18 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Branch-and-bound state over one ordered candidate list.
 
-    It keeps the closed non-neighbourhood rows ``nadj[v] = ~(adj[v] | 1 << v)``
-    over the n candidates, not ``adj``.  ``words`` holds each candidate's
-    (zero_mask, one_mask) over the log2(cube_volume) coordinates; given,
-    the walk prunes by orbital branching under the coordinate permutations
-    and 0/1 flips, and the volume buckets (one per joker count) are the
-    orbits at the root.  Without it the walk is the plain clique search.
-    ``deadline`` is the time.monotonic() reading at which ``budget_secs``
-    runs out, or None.
+    ``nadj`` is the graph's one row set, kept as ``_build_graph`` emits it:
+    row v holds the vertices not adjacent to v, other than v.  ``words``
+    holds each candidate's (zero_mask, one_mask) over the log2(cube_volume)
+    coordinates; given, the walk prunes by orbital branching under the
+    coordinate permutations and 0/1 flips, and the volume buckets (one per
+    joker count) are the orbits at the root.  Without it the walk is the
+    plain clique search.  ``deadline`` is the time.monotonic() reading at
+    which ``budget_secs`` runs out, or None.
     """
 
-    def __init__(self, adj, vols, cube_volume, cutoff, budget_nodes, deadline, words=None):
-        full = (1 << len(adj)) - 1
-        self.nadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+    def __init__(self, nadj, vols, cube_volume, cutoff, budget_nodes, deadline, words=None):
+        self.nadj = nadj
         self.vols = vols
         self.cube_volume = cube_volume
         self.cutoff = cutoff
@@ -311,8 +310,8 @@ class _Enumerator(_Engine):
     the walk never goes deeper than it.  With ``words`` at least one clique
     of each orbit is recorded."""
 
-    def __init__(self, adj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
-        super().__init__(adj, vols, cube_volume, target, budget_nodes, deadline, words)
+    def __init__(self, nadj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
+        super().__init__(nadj, vols, cube_volume, target, budget_nodes, deadline, words)
         self.best = target - 1
         self.cap = cap
         self.found: list[tuple[int, ...]] = []
@@ -323,9 +322,9 @@ class _Enumerator(_Engine):
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
-def _adjacency(strings: list[TernaryString], k: int, deadline=None) -> list[int]:
-    """Adjacency bitmask of each string, in index order: the strings at
-    distance 1..k.  With a ``deadline`` the clock is read once per row."""
+def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list[int]:
+    """Each string's closed non-neighbourhood row, in index order: the other
+    strings at distance 0 or above k.  A ``deadline`` is checked per row."""
     full = (1 << len(strings)) - 1
     zs = [s.zero_mask for s in strings]
     os_ = [s.one_mask for s in strings]
@@ -333,19 +332,19 @@ def _adjacency(strings: list[TernaryString], k: int, deadline=None) -> list[int]
     for i, count in _distance_rows(zs, os_, strings[0].length):
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted("time-budget")
-        rows[i] = _nonzero(count) & ~_above(count, k, full)
+        rows[i] = (full & ~_nonzero(count) | _above(count, k, full)) ^ 1 << i
     return rows
 
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
-    """Order candidates (degree desc, jokers asc, text asc) and return the
-    ordered strings with adjacency bitmasks."""
-    degrees = [row.bit_count() for row in _adjacency(strings, k, deadline)]
+    """Order candidates (degree desc: fewest non-neighbours first; jokers
+    asc; text asc) and return them with the rows the walk reads."""
+    sizes = [row.bit_count() for row in _non_neighbours(strings, k, deadline)]
     order = sorted(
-        range(len(strings)), key=lambda i: (-degrees[i], strings[i].jokers, str(strings[i]))
+        range(len(strings)), key=lambda i: (sizes[i], strings[i].jokers, str(strings[i]))
     )
     ordered = [strings[i] for i in order]
-    return ordered, _adjacency(ordered, k, deadline)
+    return ordered, _non_neighbours(ordered, k, deadline)
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
@@ -377,11 +376,10 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     ordered, engine = [], None
     stopped = "complete"
     try:
-        ordered, adj = _build_graph(strings, k, deadline)
+        ordered, nadj = _build_graph(strings, k, deadline)
         vols = [1 << s.jokers for s in ordered]
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
-        engine = _Engine(adj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
-        del adj  # the engine holds the complement rows
+        engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
         if cfg.seed_incumbent:
             _seed(engine, ordered, k, d)
         engine.run()
@@ -448,11 +446,11 @@ def enumerate_max_families(
         raise EnumerationIncomplete("optimum not proven within budget; cannot enumerate")
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     try:
-        ordered, adj = _build_graph(_search_candidates(k, d, cfg), k, deadline)
+        ordered, nadj = _build_graph(_search_candidates(k, d, cfg), k, deadline)
         vols = [1 << s.jokers for s in ordered]
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
-        engine = _Enumerator(adj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, deadline, words)
-        del adj
+        engine = _Enumerator(nadj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, deadline,
+                             words)
         engine.run()
     except _BudgetExhausted as exc:
         raise EnumerationIncomplete(

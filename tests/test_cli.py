@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -138,6 +139,23 @@ class TestSearchCommand:
         data = json.loads(out_of(capsys))
         assert data["count"] == 1
         assert data["families"] == [["00", "01", "10", "11"]]
+
+    def test_force_lifts_the_enumeration_cap(self, capsys, monkeypatch):
+        enumerate_all = search.enumerate_max_families
+        default = inspect.signature(enumerate_all).parameters["cap"].default
+        caps = []
+
+        def recording(k, d, cfg, cap=default):
+            caps.append(cap)
+            return enumerate_all(k, d, cfg, cap)
+
+        monkeypatch.setattr(search, "enumerate_max_families", recording)
+        assert run(["search", "1", "4", "--enumerate"]) == 0
+        plain = out_of(capsys)
+        assert run(["search", "1", "4", "--enumerate", "--force"]) == 0
+        assert out_of(capsys) == plain
+        assert caps == [100_000, 1 << 62]
+        assert json.loads(plain)["count"] == 1296
 
     def test_non_finite_budget_refused(self, capsys):
         for budget in ("nan", "inf"):

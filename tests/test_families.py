@@ -72,6 +72,23 @@ class TestFamilyContainer:
                 assert sum(len(p) for p in pieces) == len(fam)
                 assert {m for p in pieces for m in p} == set(fam.members)
 
+    def test_delete_coord_maps_each_member(self):
+        assert C3.delete_coord(1).texts() == ["00", "01", "1*", "**"]
+        for i in (2, 3):
+            fam = FIG_F.delete_coord(i)
+            assert fam.dimension == 2
+            assert fam.members == tuple(m.delete(i) for m in FIG_F.members)
+
+    def test_delete_coord_rejects_duplicates(self):
+        # 000 and 001 differ only at coordinate 3
+        with pytest.raises(ValueError, match="duplicate member 00"):
+            C3.delete_coord(3)
+
+    def test_delete_coord_range(self):
+        for i in (0, C3.dimension + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                C3.delete_coord(i)
+
 
 class TestVerifyNeighborly:
     def test_canonical_is_1_neighborly(self):

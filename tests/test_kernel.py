@@ -220,9 +220,13 @@ def test_build_graph(words, data):
     n = len(words)
     near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
     order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
-    ordered, adj = _build_graph(strings, k)
+    ordered, nadj = _build_graph(strings, k)
     assert [str(s) for s in ordered] == [words[i] for i in order]
-    assert adj == [as_mask(b for b, v in enumerate(order) if near[u][v]) for u in order]
+    # the closed non-neighbourhoods; a row that kept its own index would
+    # never let the walk's colour peel end
+    assert nadj == [as_mask(b for b, v in enumerate(order) if v != u and not near[u][v])
+                    for u in order]
+    assert not any(row >> v & 1 for v, row in enumerate(nadj))
 
 
 def oracle_is_partition(words: list[str]) -> bool:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations, product
 from math import comb, factorial
@@ -51,6 +52,13 @@ class TestEnumerateCandidates:
             enumerate_candidates(3, 2)
 
 
+def _rows(adj):
+    """The rows the engine reads: row v holds the vertices not adjacent to
+    v, other than v."""
+    full = (1 << len(adj)) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
+
+
 class TestEngineAgainstBruteForce:
     def test_random_graphs(self):
         rng = random.Random(42)
@@ -63,12 +71,12 @@ class TestEngineAgainstBruteForce:
                     if rng.random() < p:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None)
+            engine = _Engine(_rows(adj), [1] * n, 1 << 30, 1 << 30, None, None)
             engine.expand([], (1 << n) - 1, 0)
             omega = brute_force_clique_size(adj)
             assert engine.best == omega, (trial, n, p)
             # fixed-target mode of the same walk finds every maximum clique
-            enum = _Enumerator(adj, [1] * n, 1 << 30, omega, 1 << 30, None, None)
+            enum = _Enumerator(_rows(adj), [1] * n, 1 << 30, omega, 1 << 30, None, None)
             enum.expand([], (1 << n) - 1, 0)
             assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
 
@@ -102,10 +110,11 @@ class TestColorOrder:
                     if rng.random() < p:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            engine = _Engine(adj, [1] * n, 1 << 30, 1 << 30, None, None)
-            full = (1 << n) - 1
-            # a row that kept v would never let the peel end: check the rows first
-            assert engine.nadj == [full & ~(adj[v] | 1 << v) for v in range(n)]
+            nadj = _rows(adj)
+            engine = _Engine(nadj, [1] * n, 1 << 30, 1 << 30, None, None)
+            # the engine reads the rows as given; test_build_graph checks that
+            # the build's rows never hold their own index
+            assert engine.nadj is nadj
             for _ in range(5):
                 pool = rng.getrandbits(n)
                 colors = max((c for _, c in _reference_color_order(adj, pool, 0)), default=0)
@@ -262,7 +271,7 @@ class TestMaxFamily:
         search._build_graph(strings, 2)
         assert reads[0] == 0  # no deadline, no clock
         search._build_graph(strings, 2, deadline=1e9)
-        assert reads[0] == 2 * len(strings)  # the degree pass and the adjacency pass
+        assert reads[0] == 2 * len(strings)  # the degree pass and the row pass
         # a budget that runs out halfway through the second pass
         cfg = SearchConfig(budget_secs=1.5 * len(strings))
         reads[0] = 0
@@ -287,7 +296,7 @@ class TestMaxFamily:
 
     def test_capacity_guard(self):
         cfg = SearchConfig(max_candidates=10)
-        # 20 candidates: the adjacency needs 20 * 20 / 8 = 50 bytes
+        # 20 candidates: a row set of 20 * 20 / 8 = 50 bytes
         with pytest.raises(CapacityExceeded, match=r"20 candidates \(adjacency 50 bytes\)"):
             max_family(2, 3, cfg)
 
@@ -301,6 +310,20 @@ class TestMaxFamily:
         for run in (max_family, enumerate_max_families):
             with pytest.raises(CapacityExceeded, match=r"^43046688 candidates"):
                 run(2, 16)
+
+    def test_graph_holds_one_row_set(self):
+        # the build emits the rows the walk reads, so the graph costs one
+        # n * n / 8-byte row set; a complemented copy would push the peak
+        # to about 2.4 times that
+        tracemalloc.start()
+        try:
+            result = max_family(4, 8, SearchConfig(budget_nodes=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = result.stats["candidates"]
+        assert n == 5984
+        assert peak < 1.75 * n * n / 8
 
     def test_pinned_search_graph(self):
         # node counts depend on the candidate order of _build_graph
@@ -327,10 +350,10 @@ class TestMaxFamily:
             assert result.proven_optimal
             assert (result.optimum, result.stats["nodes"]) == want, (k, d)
         # the fixed-target walk on its own: representatives up to symmetry
-        ordered, adj = search._build_graph(enumerate_candidates(2, 5), 2)
+        ordered, nadj = search._build_graph(enumerate_candidates(2, 5), 2)
         words = [(s.zero_mask, s.one_mask) for s in ordered]
         vols = [1 << s.jokers for s in ordered]
-        enum = _Enumerator(adj, vols, 1 << 5, 12, 10**6, None, None, words)
+        enum = _Enumerator(nadj, vols, 1 << 5, 12, 10**6, None, None, words)
         enum.run()
         assert (enum.nodes, len(enum.found)) == (1040, 7)
 
@@ -483,10 +506,10 @@ class TestEnumerateMaxFamilies:
                      (960, T, T)],
         }
         for (k, d), want in census.items():
-            ordered, adj = search._build_graph(enumerate_candidates(k, d), k)
+            ordered, nadj = search._build_graph(enumerate_candidates(k, d), k)
             words = [(s.zero_mask, s.one_mask) for s in ordered]
             vols = [1 << s.jokers for s in ordered]
-            enum = _Enumerator(adj, vols, 1 << d, max_family(k, d).optimum, 10**6, None, None,
+            enum = _Enumerator(nadj, vols, 1 << d, max_family(k, d).optimum, 10**6, None, None,
                                words)
             enum.run()
             covered, got = set(), []
