@@ -338,12 +338,12 @@ def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
     """Order candidates (degree desc: fewest non-neighbours first; jokers
-    asc; text asc) and return them with the rows the walk reads."""
-    sizes = [row.bit_count() for row in _non_neighbours(strings, k, deadline)]
-    order = sorted(
-        range(len(strings)), key=lambda i: (sizes[i], strings[i].jokers, str(strings[i]))
-    )
-    ordered = [strings[i] for i in order]
+    asc; text asc) and return them with the rows the walk reads.  The set is
+    closed under the cube group, which keeps distances and maps a string onto
+    every other with its joker count, so a row's size depends on that alone."""
+    reps = {s.jokers: s for s in strings}
+    size = {j: sum(not 1 <= s.distance(t) <= k for t in strings) for j, s in reps.items()}
+    ordered = sorted(strings, key=lambda s: (size[s.jokers], s.jokers, str(s)))
     return ordered, _non_neighbours(ordered, k, deadline)
 
 
@@ -366,10 +366,14 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     Returns the proven optimum, or the best family found when a budget ran
     out (proven_optimal False).  Deterministic for a fixed configuration.
     """
+    return _optimize(k, d, cfg or SearchConfig(), time.monotonic())[0]
+
+
+def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
+    """``max_family`` from the entry time ``start``; also returns the ordered
+    candidates and the engine, whose graph the enumeration walks again."""
     if not 1 <= k <= d:
         raise ValueError("requires 1 <= k <= d")
-    start = time.monotonic()
-    cfg = cfg or SearchConfig()
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
@@ -404,7 +408,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
         "budget_nodes": cfg.budget_nodes,
         "budget_secs": cfg.budget_secs,
     }
-    return SearchResult(k, d, engine.best, witness, proven, stats)
+    return SearchResult(k, d, engine.best, witness, proven, stats), ordered, engine
 
 
 def _seed(engine: _Engine, ordered: list[TernaryString], k: int, d: int) -> None:
@@ -436,21 +440,17 @@ def enumerate_max_families(
     records at least one family per isomorphism class; closing those under
     three generators of the coordinate permutations and flips gives every
     labelled family, at a cost that grows with their count, not with d!·2^d.
-    ``cap`` bounds the count of families, and ``budget_secs`` counts from
-    entry, so it covers both graph builds, both walks and the closure.
+    ``cap`` bounds the count of families and ``budget_nodes`` each of the
+    two walks on its own.  ``budget_secs`` counts from entry, so it covers
+    the graph build, both walks and the closure.
     """
-    start = time.monotonic()
     cfg = cfg or SearchConfig()
-    base = max_family(k, d, cfg)
+    base, ordered, opt = _optimize(k, d, cfg, time.monotonic())
     if not base.proven_optimal:
         raise EnumerationIncomplete("optimum not proven within budget; cannot enumerate")
-    deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
+    engine = _Enumerator(opt.nadj, opt.vols, opt.cube_volume, base.optimum, cap, cfg.budget_nodes,
+                         opt.deadline, opt.words)
     try:
-        ordered, nadj = _build_graph(_search_candidates(k, d, cfg), k, deadline)
-        vols = [1 << s.jokers for s in ordered]
-        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
-        engine = _Enumerator(nadj, vols, 1 << d, base.optimum, cap, cfg.budget_nodes, deadline,
-                             words)
         engine.run()
     except _BudgetExhausted as exc:
         raise EnumerationIncomplete(
@@ -458,7 +458,7 @@ def enumerate_max_families(
         ) from None
     found = [sum(1 << i for i in t) for t in engine.found]
     if cfg.symmetry:
-        found = _close_under_group(found, ordered, d, cap, deadline)
+        found = _close_under_group(found, ordered, d, cap, opt.deadline)
     rank = [0] * len(ordered)  # each candidate's place in text order
     for r, i in enumerate(sorted(range(len(ordered)), key=lambda i: str(ordered[i]))):
         rank[i] = r

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from nbx import (
     BicliqueCover,
     Family,
-    TernaryString,
     NeighborlinessReport,
     diameter,
     extremal_dminus1,
@@ -30,7 +29,7 @@ from nbx import (
     verify_neighborly,
 )
 from nbx.families import _above, _distance_rows, _nonzero
-from nbx.search import _build_graph
+from nbx.search import _build_graph, _candidates
 
 from _oracles import all_cube_partitions, cover_report, sym_distance, twin_split_partition
 
@@ -211,22 +210,23 @@ def test_diameter(words):
     assert diameter(Family.of(words).members) == max(max(row) for row in dist)
 
 
-@KERNEL
-@given(random_families(), st.data())
-def test_build_graph(words, data):
-    strings = [TernaryString.parse(w) for w in words]
-    k = data.draw(st.integers(1, len(words[0])))
-    dist = oracle_distances(words)
-    n = len(words)
-    near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
-    order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
-    ordered, nadj = _build_graph(strings, k)
-    assert [str(s) for s in ordered] == [words[i] for i in order]
-    # the closed non-neighbourhoods; a row that kept its own index would
-    # never let the walk's colour peel end
-    assert nadj == [as_mask(b for b, v in enumerate(order) if v != u and not near[u][v])
-                    for u in order]
-    assert not any(row >> v & 1 for v, row in enumerate(nadj))
+def test_build_graph():
+    # the build's input is a candidate set, closed under the cube group
+    for d, limit in [(d, limit) for d in range(1, 6) for limit in range(d + 1)]:
+        strings = _candidates(d, limit)
+        words = [str(s) for s in strings]
+        dist = oracle_distances(words)
+        n = len(words)
+        for k in range(1, d + 1):
+            near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
+            order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
+            ordered, nadj = _build_graph(strings, k)
+            assert [str(s) for s in ordered] == [words[i] for i in order], (d, limit, k)
+            # the closed non-neighbourhoods; a row that kept its own index
+            # would never let the walk's colour peel end
+            assert nadj == [as_mask(b for b, v in enumerate(order) if v != u and not near[u][v])
+                            for u in order], (d, limit, k)
+            assert not any(row >> v & 1 for v, row in enumerate(nadj))
 
 
 def oracle_is_partition(words: list[str]) -> bool:

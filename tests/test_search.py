@@ -271,9 +271,9 @@ class TestMaxFamily:
         search._build_graph(strings, 2)
         assert reads[0] == 0  # no deadline, no clock
         search._build_graph(strings, 2, deadline=1e9)
-        assert reads[0] == 2 * len(strings)  # the degree pass and the row pass
-        # a budget that runs out halfway through the second pass
-        cfg = SearchConfig(budget_secs=1.5 * len(strings))
+        assert reads[0] == len(strings)  # the one kernel pass
+        # a budget that runs out halfway through that pass
+        cfg = SearchConfig(budget_secs=0.5 * len(strings))
         reads[0] = 0
         result = max_family(2, 5, cfg)
         assert result.stats["stopped"] == "time-budget"
@@ -437,24 +437,35 @@ class TestEnumerateMaxFamilies:
         with pytest.raises(EnumerationIncomplete, match="stopped by node-budget"):
             enumerate_max_families(2, 5, cfg)
 
-    def test_time_budget_covers_the_second_graph_build(self, monkeypatch):
+    def test_one_graph_build_and_the_time_budget_covers_the_walk(self, monkeypatch):
+        # both walks read one graph, built in one kernel pass
+        calls = []
+        for name in ("_build_graph", "_non_neighbours"):
+            counted = lambda *a, f=getattr(search, name), name=name: calls.append(name) or f(*a)
+            monkeypatch.setattr(search, name, counted)
+        max_family(2, 4)
+        assert calls == ["_build_graph", "_non_neighbours"]
+        calls.clear()
+        assert len(enumerate_max_families(2, 4)) == 48
+        assert calls == ["_build_graph", "_non_neighbours"]
         # the optimizer's build and walk fit the budget; the clock then jumps
-        # past it as the enumeration walk's graph is built
+        # past it, and the enumeration walk stops on it
         clock = [0.0]
         monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
-        build = search._build_graph
-        calls = []
+        walk = _Engine.run
+        walks = []
 
-        def slow_second_build(strings, k, deadline):
-            calls.append(k)
-            if len(calls) == 2:
+        def slow_walk(engine):
+            walks.append(type(engine))
+            walk(engine)
+            if type(engine) is _Engine:
                 clock[0] += 10.0
-            return build(strings, k, deadline)
 
-        monkeypatch.setattr(search, "_build_graph", slow_second_build)
+        monkeypatch.setattr(_Engine, "run", slow_walk)
+        cfg = SearchConfig(budget_secs=5.0, use_bounds_cutoff=False)
         with pytest.raises(EnumerationIncomplete, match="stopped by time-budget"):
-            enumerate_max_families(2, 4, SearchConfig(budget_secs=5.0))
-        assert len(calls) == 2
+            enumerate_max_families(2, 4, cfg)
+        assert walks == [_Engine, _Enumerator]
 
     def test_time_budget_covers_the_closure(self, monkeypatch):
         # a clock that jumps past the budget once the walk is done: closing
