@@ -2,7 +2,7 @@
 
 All arithmetic is exact.  The kappa function (largest subset of the
 binary cube with bounded diameter) drives both the greedy profile
-optimizer and the refined parity-case formulas.
+optimizer and the refined formula, one case each for odd and even d - k.
 """
 
 from nbx import (

@@ -1,23 +1,26 @@
 """Closed-form lower and upper bounds and their aggregation.
 
-All arithmetic is exact: integers throughout, rationals where a rounding
-rule is involved.  The rounding used by the refined upper bounds is the
-largest integer *strictly* below x (an integer a < x satisfies exactly
-a <= strict_floor(x)), implemented as ceil(x - 1) on Fractions.
+All arithmetic is exact and in integers.  The refined upper bound rounds
+by strict_floor(x + 1/2), where strict_floor(x) is the largest integer
+*strictly* below x (an integer a < x satisfies exactly a <= strict_floor(x)).
+Its values x are dyadic, c / 2^s, so one shift rounds them;
+strict_floor(x) = ceil(x - 1) remains the public rule for any rational x.
 
 The kappa function gives the maximum size of a subset of the binary cube
 with bounded diameter (Kleitman's diameter theorem, with Bezrukov's odd
-case); the greedy profile optimizer and the refined parity-case formulas
-are built on top of it.
+case); the greedy profile optimizer and the refined formula, with one
+case for odd d - k and one for even, are built on top of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from .constructions import m_value, mbar_value
 
@@ -135,50 +138,27 @@ def greedy_kappa_upper(k: int, d: int) -> tuple[int, GreedyProfile]:
     return sum(a), GreedyProfile(tuple(a), sum(a))
 
 
+def _halved(c: int, s: int) -> int:
+    """strict_floor(c / 2^s + 1/2), exactly, by one shift."""
+    return (2 * c + (1 << s) - 1) >> (s + 1)
+
+
 def refined_upper(k: int, d: int) -> int:
-    """Closed-form parity-case bound from kappa's binomial layers, halved per
-    level and rounded by strict_floor(x + 1/2), for 1 <= k <= d-1.  For
-    d <= 40 it is never below greedy_kappa_upper but exceeds it in 416 of 780 cells."""
+    """Closed-form bound from kappa's binomial layers, for 1 <= k <= d-1.
+
+    kappa(k, d) plus layers 1 <= i <= t = (d-k)//2: C(d, k/2 + i) / 2^i for
+    even k, C(d-1, (k-1)/2 + i) / 2^(i-1) for odd k, each rounded by
+    strict_floor(x + 1/2).  If d - k is odd, 2^(d-t-2) is added; if even, the
+    last layer is halved once more before rounding and 2^((d+k)/2 - 1) added.
+    For d <= 40 it is never below greedy_kappa_upper but exceeds it in 416 of 780 cells."""
     if not 1 <= k <= d - 1:
         raise ValueError("requires 1 <= k <= d-1")
-    half = Fraction(1, 2)
-    if k % 2 == 0:
-        head = sum(comb(d, s) for s in range(k // 2 + 1))
-        if d % 2 == 0:
-            mid = sum(
-                strict_floor(Fraction(comb(d, k // 2 + i), 1 << i) + half)
-                for i in range(1, (d - k) // 2)
-            )
-            last = strict_floor(
-                (1 << ((d + k) // 2 - 1))
-                + Fraction(comb(d, d // 2), 1 << ((d - k) // 2 + 1))
-                + half
-            )
-            return head + mid + last
-        lam = 1 << (d - (d - k) // 2 - 2)
-        mid = sum(
-            strict_floor(Fraction(comb(d, k // 2 + i), 1 << i) + half)
-            for i in range(1, (d - k) // 2 + 1)
-        )
-        return lam + head + mid
-    head = comb(d - 1, k // 2) + sum(comb(d, s) for s in range(k // 2 + 1))
-    if d % 2 == 0:
-        lam = 1 << (d - (d - k) // 2 - 2)
-        mid = sum(
-            strict_floor(Fraction(comb(d - 1, k // 2 + i), 1 << (i - 1)) + half)
-            for i in range(1, (d - k) // 2 + 1)
-        )
-        return lam + head + mid
-    mid = sum(
-        strict_floor(Fraction(comb(d - 1, k // 2 + i), 1 << (i - 1)) + half)
-        for i in range(1, (d - k) // 2)
-    )
-    last = strict_floor(
-        (1 << ((d + k) // 2 - 1))
-        + Fraction(comb(d - 1, (d - 1) // 2), 1 << ((d - k) // 2))
-        + half
-    )
-    return head + mid + last
+    odd, h, t = k % 2, k // 2, (d - k) // 2
+    layer = [_halved(comb(d - odd, h + i), i - odd) for i in range(1, t + 1)]
+    if (d - k) % 2:
+        return kappa(k, d) + sum(layer) + (1 << (d - t - 2))
+    last = (1 << ((d + k) // 2 - 1)) + _halved(comb(d - odd, h + t), t + 1 - odd)
+    return kappa(k, d) + sum(layer[:-1]) + last
 
 
 class Bound(NamedTuple):

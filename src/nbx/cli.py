@@ -74,12 +74,16 @@ def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
         sys.stdout.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _table_format(args) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "tsv", False):
-        return "tsv"
-    return "human" if sys.stdout.isatty() else "tsv"
+def _emit_table(args, records, header: list[str], row) -> None:
+    """Write records as --json (each one's ``as_dict()``), as --tsv, or, with
+    neither, as TSV when piped and aligned on a terminal; each table row is
+    ``row(record)``.  A single record, not in a list, is written as one dict."""
+    many = isinstance(records, list)
+    if args.json:
+        _emit_json([r.as_dict() for r in records] if many else records.as_dict())
+        return
+    fmt = "tsv" if args.tsv or not sys.stdout.isatty() else "human"
+    _rows_out([row(r) for r in (records if many else [records])], header, fmt)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,6 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nbx", description="Neighborly families of boxes: construct, verify, bound, solve."
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table_out = argparse.ArgumentParser(add_help=False)  # output format of bounds, table, audit
+    table_out.add_argument("--json", action="store_true")
+    table_out.add_argument("--tsv", action="store_true")
 
     con = sub.add_parser("construct", help="emit a constructed family as .nbx")
     consub = con.add_subparsers(dest="kind", required=True)
@@ -113,17 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".nbx file or - for stdin")
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)")
+    p = sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)",
+                       parents=[table_out])
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true")
 
-    p = sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax")
+    p = sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax",
+                       parents=[table_out])
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--dmax", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true")
 
     p = sub.add_parser("search", help="exact maximum family search")
     p.add_argument("k", type=int)
@@ -148,11 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q = convsub.add_parser("to-family")
     q.add_argument("file", help="cover JSON file or - for stdin")
 
-    p = sub.add_parser("audit", help="triangle-inequality audit of the bounds grid")
+    p = sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
+                       parents=[table_out])
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--dmax", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true")
 
     p = sub.add_parser("reduce", help="twin-merge a partition down to the all-joker string")
     p.add_argument("file", help=".nbx file or - for stdin")
@@ -207,23 +211,21 @@ def _entry_row(entry: bounds.BoundsEntry) -> list[str]:
 _TABLE_HEADER = ["k", "d", "lower", "lower_method", "upper", "upper_method", "exact"]
 
 
+def _finding_row(f: bounds.PascalFinding) -> list[str]:
+    return [str(f.k), str(f.d), str(f.lhs), str(f.rhs), str(f.slack),
+            "yes" if f.violated else "no"]
+
+
+_AUDIT_HEADER = ["k", "d", "lhs", "rhs", "slack", "violated"]
+
+
 def _cmd_bounds(args) -> int:
-    entry = bounds.best_bounds(args.k, args.d)
-    fmt = _table_format(args)
-    if fmt == "json":
-        _emit_json(entry.as_dict())
-    else:
-        _rows_out([_entry_row(entry)], _TABLE_HEADER, fmt)
+    _emit_table(args, bounds.best_bounds(args.k, args.d), _TABLE_HEADER, _entry_row)
     return 0
 
 
 def _cmd_table(args) -> int:
-    entries = bounds.bounds_table(args.kmax, args.dmax)
-    fmt = _table_format(args)
-    if fmt == "json":
-        _emit_json([e.as_dict() for e in entries])
-    else:
-        _rows_out([_entry_row(e) for e in entries], _TABLE_HEADER, fmt)
+    _emit_table(args, bounds.bounds_table(args.kmax, args.dmax), _TABLE_HEADER, _entry_row)
     return 0
 
 
@@ -274,16 +276,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_audit(args) -> int:
     findings = bounds.pascal_audit(bounds.bounds_table(args.kmax, args.dmax))
-    fmt = _table_format(args)
-    if fmt == "json":
-        _emit_json([f.as_dict() for f in findings])
-    else:
-        header = ["k", "d", "lhs", "rhs", "slack", "violated"]
-        rows = [
-            [str(f.k), str(f.d), str(f.lhs), str(f.rhs), str(f.slack), "yes" if f.violated else "no"]
-            for f in findings
-        ]
-        _rows_out(rows, header, fmt)
+    _emit_table(args, findings, _AUDIT_HEADER, _finding_row)
     violated = sum(1 for f in findings if f.violated)
     if violated:
         print(f"{violated} violation(s) found", file=sys.stderr)

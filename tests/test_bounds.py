@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from nbx import (
     split_upper_best,
     strict_floor,
 )
+
+from nbx.bounds import _halved
 
 from _oracles import max_diameter_set_size, profile_optimum
 
@@ -204,6 +207,17 @@ class TestRefinedUpper:
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError):
             refined_upper(3, 3)
+
+    def test_values_are_pinned(self):
+        # taken from the four-branch form, one branch per parity pair of (k, d)
+        text = ",".join(str(refined_upper(k, d)) for d in range(2, 81) for k in range(1, d)).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (
+            46_858, "743bb4280e4fb781bac44756025fba71e2ce6f5994a41b5f7b9d47a925c7fcb9")
+
+    def test_halved_is_strict_floor_of_half_up(self):
+        for c in range(301):
+            for s in range(11):
+                assert _halved(c, s) == strict_floor(Fraction(c, 1 << s) + Fraction(1, 2)), (c, s)
 
 
 class TestBestBounds:

@@ -181,7 +181,13 @@ def test_json_writer_matches_json_dump_on_every_payload():
      "ac90a7b33124304adb7ae907791313e830363ead1f1d23d695f0979d72c30972"),
     ("audit --kmax 40 --dmax 40 --json", 92_261,
      "df93219177741cab7e16a9bc92c1479659953617a378bffa3ae80b12c496630b"),
-], ids=["table", "audit"])
+    ("table --kmax 40 --dmax 40 --tsv", 39_059,
+     "04f7d5f26618694ec4d0f47798cf5fb5f655b81fa05e7f84eb83c917184cefe9"),
+    ("audit --kmax 40 --dmax 40 --tsv", 25_205,
+     "47129ca722344258a04ac6303461389b76be06cde1a932274fd801d77c5d6869"),
+    ("bounds 3 7 --tsv", 82,
+     "b3d44da00c30c431c31c7258885f0e2f5859e734b64b7dd9e7ad5815200b3625"),
+], ids=["table", "audit", "table-tsv", "audit-tsv", "bounds-tsv"])
 def test_bounds_grid_output_is_pinned(args, size, digest, capsys):
     # taken when best_bounds still evaluated every upper formula, so a
     # change in any printed value or method label shows here
