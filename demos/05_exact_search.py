@@ -4,7 +4,8 @@ The solver is a branch and bound over the compatibility graph of all
 candidate strings, pruned by greedy coloring, disjoint-volume counting,
 and the best closed-form upper bound, and by orbital branching under the
 cube's coordinate permutations and 0/1 flips.  Candidates with more than
-d-k jokers never occur in a maximum family and are dropped up front.
+d-k jokers never occur in a maximum family (splitting a joker of one gives
+a larger family), so the search never builds them.
 """
 
 import time
@@ -29,8 +30,8 @@ print("\nAll maximum families for (2, 3) (each is a partition):")
 fams = enumerate_max_families(2, 3)
 print(f"  {len(fams)} families of size {len(fams[0])}; first: {fams[0].texts()}")
 
-print("\nThe raw engine (no warm start, no closed-form cutoff) agrees:")
-cfg = SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)
+print("\nWithout the known bounds (no constructed start, no closed-form stop) it agrees:")
+cfg = SearchConfig(use_known_bounds=False)
 result = max_family(2, 4, cfg)
 print(f"  n(2,4) = {result.optimum} proven={result.proven_optimal} "
       f"nodes={result.stats['nodes']}")

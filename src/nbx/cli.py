@@ -110,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = consub.add_parser("fragmented", help="fragmented construction for a block plan")
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--m", type=int, default=None, help="block count (default: optimal plan)")
-    p.add_argument("--a", type=str, default=None, help="comma-separated block lengths")
+    p.add_argument("--a", type=str, default=None,
+                   help="comma-separated block lengths, one per block (default: optimal plan)")
     p = consub.add_parser("product", help="concatenation product of two .nbx files")
     p.add_argument("left")
     p.add_argument("right")
@@ -135,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--no-joker-prune", action="store_true")
     p.add_argument("--no-symmetry", action="store_true", help="plain walk: no orbital branching")
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every maximum family")
@@ -174,13 +173,11 @@ def _cmd_construct(args) -> int:
     elif args.kind == "mbar":
         _emit_family(constructions.realize_mbar(args.k, args.d))
     elif args.kind == "fragmented":
-        if args.m is None and args.a is None:
+        if args.a is None:
             plan = constructions.m_value(args.k, args.d).plan
         else:
-            if args.m is None or args.a is None:
-                raise ValueError("--m and --a must be given together")
             a = tuple(int(x) for x in args.a.split(","))
-            plan = constructions.FragmentPlan(args.k, args.d, args.m, a)
+            plan = constructions.FragmentPlan(args.k, args.d, len(a), a)
         _emit_family(constructions.fragmented(plan))
     else:  # product
         left = _load_family(args.left)
@@ -233,7 +230,6 @@ def _cmd_search(args) -> int:
     cfg = search.SearchConfig(
         budget_nodes=args.budget_nodes,
         budget_secs=args.budget_secs,
-        joker_prune=not args.no_joker_prune,
         symmetry=not args.no_symmetry,
     )
     if args.force:

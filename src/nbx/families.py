@@ -222,19 +222,6 @@ def _bits(mask: int) -> Iterator[int]:
         j = text.find("1", j + 1)
 
 
-def _is_partition_masks(zero_masks: list[int], one_masks: list[int], d: int) -> bool:
-    """True iff the subcubes have total volume 2^d and no two members are
-    at distance 0 (their subcubes meet)."""
-    if sum(1 << (d - (z | o).bit_count()) for z, o in zip(zero_masks, one_masks)) != 1 << d:
-        return False
-    full = (1 << len(zero_masks)) - 1
-    for i, count in _distance_rows(zero_masks, one_masks, d):
-        upper = full >> (i + 1) << (i + 1)
-        if upper & ~_nonzero(count):
-            return False
-    return True
-
-
 class Violations(Sequence):
     """Read-only sequence of the violating pairs ``(i, j, dist(i, j))``, i < j,
     in (i, j) order, kept as one column mask per violating row i.  It
@@ -342,12 +329,17 @@ def volume(family: Family) -> int:
 
 
 def is_partition(family: Family) -> bool:
-    """True iff the subcubes are pairwise disjoint and cover the whole cube
-    (volume 2^d)."""
-    members = family.members
-    return _is_partition_masks(
-        [m.zero_mask for m in members], [m.one_mask for m in members], family.dimension
-    )
+    """True iff the subcubes are pairwise disjoint and cover the whole cube:
+    total volume 2^d, and no two members at distance 0 (their subcubes meet)."""
+    if volume(family) != 1 << family.dimension:
+        return False
+    zs = [m.zero_mask for m in family.members]
+    os_ = [m.one_mask for m in family.members]
+    full = (1 << len(zs)) - 1
+    for i, count in _distance_rows(zs, os_, family.dimension):
+        if full >> (i + 1) << (i + 1) & ~_nonzero(count):
+            return False
+    return True
 
 
 def is_lamination(family: Family) -> Optional[int]:

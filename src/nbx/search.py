@@ -15,9 +15,13 @@ and bound with three admissible prunes:
 * a global cutoff at the best closed-form upper bound, which also ends
   the search early once an incumbent meets it.
 
-Candidates with more than d-k jokers can be dropped up front (no maximum
-family contains one: splitting its joker into a twin pair gives a strictly
-larger family); the toggle exists so the claim can be tested empirically.
+The candidates are the words with at most d-k jokers, since no maximum
+family holds a word w with more.  Such a w has fewer than k non-joker
+coordinates, so it lies at distance at most k-1 from every other member.
+Replacing w by the twin pair w0, w1 from one of its jokers then gives a
+k-neighborly family one larger: the twins lie at distance 1, neither was a
+member (each meets w), and each lies at least as far as w and at most one
+further from every other member.
 
 With symmetry on (the default) the walk uses orbital branching (Ostrowski,
 Linderoth, Rossi & Smriglio, Math. Program. 126, 2011) under the cube's
@@ -61,13 +65,20 @@ class EnumerationIncomplete(RuntimeError):
 
 @dataclass
 class SearchConfig:
+    """How ``max_family`` and ``enumerate_max_families`` search.
+
+    budget_nodes: stop after this many walk nodes (None: no limit).
+    budget_secs: stop this many seconds after entry (None: no limit).
+    symmetry: prune by orbital branching; off, the walk is the plain clique search.
+    max_candidates: refuse a larger candidate set with ``CapacityExceeded``.
+    use_known_bounds: seed with ``realize_mbar``, stop at ``best_bounds(k, d).upper``.
+    """
+
     budget_nodes: Optional[int] = None
     budget_secs: Optional[float] = None
-    joker_prune: bool = True
     symmetry: bool = True
     max_candidates: int = 60_000
-    use_bounds_cutoff: bool = True
-    seed_incumbent: bool = True
+    use_known_bounds: bool = True
 
     def __post_init__(self):
         if self.budget_nodes is not None and self.budget_nodes <= 0:
@@ -350,14 +361,13 @@ def _build_graph(strings: list[TernaryString], k: int, deadline=None):
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
     """Candidates for (k, d), under the capacity guard, which counts them
     (C(d, j)·2^(d-j) with j jokers) before any is built."""
-    limit = d - k if cfg.joker_prune else d
-    n = sum(comb(d, j) << d - j for j in range(limit + 1))
+    n = sum(comb(d, j) << d - j for j in range(d - k + 1))
     if n > cfg.max_candidates:
         raise CapacityExceeded(
             f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
             f" capacity {cfg.max_candidates}"
         )
-    return _candidates(d, limit)
+    return _candidates(d, d - k)
 
 
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
@@ -376,7 +386,7 @@ def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
         raise ValueError("requires 1 <= k <= d")
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
-    cutoff = best_bounds(k, d).upper.value if cfg.use_bounds_cutoff else (1 << d) + 1
+    cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
     ordered, engine = [], None
     stopped = "complete"
     try:
@@ -384,7 +394,7 @@ def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
         vols = [1 << s.jokers for s in ordered]
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
-        if cfg.seed_incumbent:
+        if cfg.use_known_bounds:
             _seed(engine, ordered, k, d)
         engine.run()
     except _Done:
@@ -403,7 +413,7 @@ def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
         "nodes": engine.nodes,
         "elapsed_secs": time.monotonic() - start,
         "candidates": len(strings),
-        "upper_cutoff": cutoff if cfg.use_bounds_cutoff else None,
+        "upper_cutoff": cutoff if cfg.use_known_bounds else None,
         "stopped": stopped,
         "budget_nodes": cfg.budget_nodes,
         "budget_secs": cfg.budget_secs,
@@ -415,18 +425,13 @@ def _seed(engine: _Engine, ordered: list[TernaryString], k: int, d: int) -> None
     """Warm-start the incumbent with the best constructed family, when it
     maps onto the candidate set."""
     index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
-    try:
-        constructed = realize_mbar(k, d)
-    except ValueError:
-        return
     idxs = []
-    for m in constructed.members:
+    for m in realize_mbar(k, d).members:
         key = (m.zero_mask, m.one_mask)
         if key not in index_of:
             return
         idxs.append(index_of[key])
-    if len(idxs) > engine.best:
-        engine._improve(idxs)
+    engine._improve(idxs)
 
 
 def enumerate_max_families(

@@ -29,15 +29,16 @@ class TestConstruct:
         assert len(out_of(capsys).splitlines()) == 21
 
     def test_fragmented_with_plan(self, capsys):
-        assert run(["construct", "fragmented", "2", "7", "--m", "3", "--a", "2,2,1"]) == 0
+        assert run(["construct", "fragmented", "2", "7", "--a", "2,2,1"]) == 0
         assert len(out_of(capsys).splitlines()) == 21
 
     def test_fragmented_default_plan(self, capsys):
         assert run(["construct", "fragmented", "3", "10"]) == 0
         assert len(out_of(capsys).splitlines()) == 81
 
-    def test_fragmented_partial_plan_rejected(self, capsys):
-        assert run(["construct", "fragmented", "2", "7", "--m", "3"]) == 2
+    def test_fragmented_malformed_plan_rejected(self, capsys):
+        assert run(["construct", "fragmented", "2", "7", "--a", "2,2"]) == 2
+        assert "block lengths must sum to 7" in capsys.readouterr().err
 
     def test_product(self, capsys, tmp_path):
         a = tmp_path / "a.nbx"
@@ -129,8 +130,7 @@ class TestSearchCommand:
         assert len(data["witness"]) == 6
 
     def test_search_flags(self, capsys):
-        assert run(["search", "1", "3", "--no-joker-prune", "--no-symmetry",
-                    "--budget-nodes", "100000"]) == 0
+        assert run(["search", "1", "3", "--no-symmetry", "--budget-nodes", "100000"]) == 0
         data = json.loads(out_of(capsys))
         assert data["optimum"] == 4
 

@@ -196,6 +196,14 @@ def test_bounds_grid_output_is_pinned(args, size, digest, capsys):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
+def test_fragmented_output_is_pinned(capsys):
+    # taken when the block count was still given as --m 3 next to --a
+    assert run(["construct", "fragmented", "2", "7", "--a", "2,2,1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        168, "618148d643c6e92ee6e9e44d400a5587e91b352acafef39b326584a864678ec7")
+
+
 def closed_early(args: list[str], tmp_path: Path) -> tuple[int, bytes]:
     """Exit status and stderr of a command whose reader stops after 16 bytes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

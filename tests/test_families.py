@@ -180,13 +180,13 @@ class TestLaminations:
     def test_partition_checked_once(self, monkeypatch):
         # the sides of a split partition are partitions: no per-level check
         calls = []
-        check = families._is_partition_masks
+        check = families.is_partition
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(families, "_is_partition_masks", counted)
+        monkeypatch.setattr(families, "is_partition", counted)
         assert is_total_lamination(canonical(12))
         assert len(calls) == 1
 

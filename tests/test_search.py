@@ -177,16 +177,15 @@ class TestMaxFamily:
 
     def test_toggles_do_not_change_optimum(self):
         for (k, d), want in KNOWN.items():
-            for joker_prune in (True, False):
-                for symmetry in (True, False):
-                    cfg = SearchConfig(joker_prune=joker_prune, symmetry=symmetry)
-                    assert max_family(k, d, cfg).optimum == want
+            for symmetry in (True, False):
+                cfg = SearchConfig(symmetry=symmetry)
+                assert max_family(k, d, cfg).optimum == want
 
     def test_raw_engine_reproduces_values(self):
         # no warm start, no closed-form cutoff: the search itself must
         # rediscover and prove every value
         for (k, d), want in KNOWN.items():
-            cfg = SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)
+            cfg = SearchConfig(use_known_bounds=False)
             result = max_family(k, d, cfg)
             assert result.optimum == want
             assert result.proven_optimal
@@ -203,7 +202,7 @@ class TestMaxFamily:
                 known[d - 1, d] = 3 << (d - 2)
         known[2, 5] = 12
         known[3, 5] = 18
-        cfg = SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)
+        cfg = SearchConfig(use_known_bounds=False)
         for d in range(1, 6):
             for k in range(1, d + 1):
                 result = max_family(k, d, cfg)
@@ -214,6 +213,16 @@ class TestMaxFamily:
                     # the plain walk agrees wherever it is cheap
                     plain = max_family(k, d, replace(cfg, symmetry=False))
                     assert plain.optimum == result.optimum, (k, d)
+
+    def test_seed_construction_errors_propagate(self, monkeypatch):
+        # realize_mbar(k, d) is valid for every 1 <= k <= d, so an error in
+        # the warm start is an internal one and must not be swallowed
+        def broken(k, d):
+            raise ValueError("broken construction")
+
+        monkeypatch.setattr(search, "realize_mbar", broken)
+        with pytest.raises(ValueError, match="broken construction"):
+            max_family(2, 4)
 
     def test_optimum_within_best_bounds(self):
         for k, d in [(1, 4), (2, 4), (2, 5), (3, 4)]:
@@ -229,9 +238,7 @@ class TestMaxFamily:
         assert a.stats["nodes"] == b.stats["nodes"]
 
     def test_budget_exhaustion_returns_best_found(self):
-        cfg = SearchConfig(
-            budget_nodes=20, use_bounds_cutoff=False, seed_incumbent=False, symmetry=False
-        )
+        cfg = SearchConfig(budget_nodes=20, use_known_bounds=False, symmetry=False)
         result = max_family(2, 5, cfg)
         assert not result.proven_optimal
         assert result.stats["stopped"] == "node-budget"
@@ -250,7 +257,7 @@ class TestMaxFamily:
             return build(strings, k, deadline)
 
         monkeypatch.setattr(search, "_build_graph", slow_build)
-        cfg = SearchConfig(budget_secs=5.0, use_bounds_cutoff=False, seed_incumbent=False)
+        cfg = SearchConfig(budget_secs=5.0, use_known_bounds=False)
         result = max_family(2, 5, cfg)
         assert result.stats["stopped"] == "time-budget"
         assert not result.proven_optimal
@@ -291,7 +298,7 @@ class TestMaxFamily:
             return 0.0
 
         monkeypatch.setattr(search.time, "monotonic", clock)
-        result = max_family(2, 5, SearchConfig(use_bounds_cutoff=False))
+        result = max_family(2, 5, SearchConfig(use_known_bounds=False))
         assert result.proven_optimal and reads[0] == 2
 
     def test_capacity_guard(self):
@@ -342,7 +349,7 @@ class TestMaxFamily:
         # cheaper must leave every count as it is
         pins = [
             ((3, 5, SearchConfig()), (18, 9899)),
-            ((4, 5, SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)), (24, 4340)),
+            ((4, 5, SearchConfig(use_known_bounds=False)), (24, 4340)),
             ((2, 4, SearchConfig(symmetry=False)), (9, 880)),
         ]
         for (k, d, cfg), want in pins:
@@ -425,9 +432,19 @@ class TestEnumerateMaxFamilies:
             assert {frozenset(f.texts()) for f in fams} == want, (k, d)
             assert len(fams) == count, (k, d)
 
+    def test_joker_limit_loses_no_maximum_family(self):
+        # over all 3^d words, with no joker limit, the maximum cliques are
+        # exactly the enumerated families: none holds more than d-k jokers
+        for k, d in KNOWN:
+            words = ["".join(w) for w in product("01*", repeat=d)]
+            adj = [sum(1 << j for j, b in enumerate(words) if 1 <= sym_distance(a, b) <= k)
+                   for a in words]
+            want = {frozenset(words[i] for i in c) for c in all_max_cliques(adj)}
+            fams = enumerate_max_families(k, d)
+            assert {frozenset(f.texts()) for f in fams} == want, (k, d)
+
     def test_unproven_base_rejected(self):
-        cfg = SearchConfig(budget_nodes=5, use_bounds_cutoff=False, seed_incumbent=False,
-                           symmetry=False)
+        cfg = SearchConfig(budget_nodes=5, use_known_bounds=False, symmetry=False)
         with pytest.raises(RuntimeError, match="not proven"):
             enumerate_max_families(2, 4, cfg)
 
@@ -462,7 +479,7 @@ class TestEnumerateMaxFamilies:
                 clock[0] += 10.0
 
         monkeypatch.setattr(_Engine, "run", slow_walk)
-        cfg = SearchConfig(budget_secs=5.0, use_bounds_cutoff=False)
+        cfg = SearchConfig(budget_secs=5.0, use_known_bounds=False)
         with pytest.raises(EnumerationIncomplete, match="stopped by time-budget"):
             enumerate_max_families(2, 4, cfg)
         assert walks == [_Engine, _Enumerator]
@@ -608,7 +625,7 @@ class TestIndependentOracle:
 
 class TestRawEngineDimensionFive:
     def test_raw_proofs(self):
-        cfg = SearchConfig(use_bounds_cutoff=False, seed_incumbent=False)
+        cfg = SearchConfig(use_known_bounds=False)
         for (k, d), want in [((1, 5), 6), ((4, 5), 24), ((5, 5), 32), ((2, 5), 12)]:
             result = max_family(k, d, cfg)
             assert result.proven_optimal and result.optimum == want
