@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .families import Family, Violations, _above, _distance_rows, _nonzero
+from .families import Family, Violations, _by_distance, _distance_rows
 from .strings import TernaryString
 
 
@@ -141,20 +141,16 @@ def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
     (u, v) is covered dist(u, v) times, the distance of the vertex words."""
     n, d = cover.n, cover.d
     zs, os_ = _vertex_masks(cover)
-    k = min(max(k, 0), d)  # _above reads only d.bit_length() bits of k
     full = (1 << n) - 1
-    at_least = [n * (n - 1) // 2] + [0] * (d + 1)  # edges covered >= m times
+    edges = [0] * (d + 1)  # edges covered exactly m times
     rows = []
     for u, count in _distance_rows(zs, os_, d):
-        upper = full >> (u + 1) << (u + 1)
-        for m in range(d):
-            cols = _above(count, m, upper)
-            if not cols:
-                break
-            at_least[m + 1] += cols.bit_count()
-        bad = upper & (~_nonzero(count) | _above(count, k, full))
+        bad = 0
+        for m, cols in _by_distance(count, full >> (u + 1) << (u + 1)):
+            edges[m] += cols.bit_count()
+            if not 1 <= m <= k:
+                bad |= cols
         if bad:
             rows.append((u, bad))
-    pairs = zip(at_least, at_least[1:])
-    histogram = tuple((m, a - b) for m, (a, b) in enumerate(pairs) if a > b)
-    return CoverReport(not rows, histogram, Violations(rows, zs, os_))
+    histogram = tuple((m, c) for m, c in enumerate(edges) if c)
+    return CoverReport(not rows, histogram, Violations(rows, zs, os_, d))

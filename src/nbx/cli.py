@@ -38,7 +38,6 @@ def _emit_family(fam: families.Family) -> None:
 
 
 _BLOCK = 4096  # encoder chunks or violation triples per write
-_TRIPLE = "    [\n      %d,\n      %d,\n      %d\n    ]"  # a violation, as json.dump lays it out
 
 
 def _emit_json(data) -> None:
@@ -50,15 +49,30 @@ def _emit_json(data) -> None:
 
 
 def _emit_report(report: families.NeighborlinessReport) -> None:
-    """``_emit_json(report.as_dict())``, with each violation triple written
-    by one format string instead of the pure-Python encoder."""
-    triples = iter(report.violations)
+    """``_emit_json(report.as_dict())``, with the violations written one row
+    at a time, or at most ``_BLOCK`` triples of a long row per write.
+    json.dump puts each number of a triple on its own line, so a row's text
+    is a lead for i and then, per triple, a column text and a distance text
+    looked up in tables and joined in C."""
+    violations = report.violations
     empty = type(report)(report.is_valid, report.min_distance, report.max_distance, ())
     head = json.dumps(empty.as_dict(), indent=2)[:-4]  # cut '[]\n}' after "violations"
     sep = head + "[\n"
-    while block := ",\n".join([_TRIPLE % v for v in islice(triples, _BLOCK)]):
-        sys.stdout.write(sep + block)
-        sep = ",\n"
+    col_text = dist_text = None
+    for i, js, dists in violations._expand():
+        if col_text is None:  # a valid report builds no tables
+            col_text = ["%d,\n      " % j for j in range(violations._n)]
+            dist_text = ["%d\n    ]" % x for x in range(report.max_distance + 1)]
+        lead = "    [\n      %d,\n      " % i
+        between = [text + ",\n" + lead for text in dist_text]  # ends a triple, opens the next
+        for s in range(0, len(js), _BLOCK):
+            cols, ds = js[s : s + _BLOCK], dists[s : s + _BLOCK]
+            parts = [""] * (2 * len(cols))
+            parts[0::2] = map(col_text.__getitem__, cols)
+            parts[1::2] = map(between.__getitem__, ds)
+            parts[-1] = dist_text[ds[-1]]
+            sys.stdout.write(sep + lead + "".join(parts))
+            sep = ",\n"
     sys.stdout.write("\n  ]\n}\n" if sep == ",\n" else head + "[]\n}\n")
 
 

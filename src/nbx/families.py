@@ -21,17 +21,24 @@ coordinate 0 first), and each row restarts from the counter of the
 longest prefix it shares with the previous one, so a structured family
 pays for each distinct prefix once.  The counters are shared between
 rows and read-only to callers.  Comparisons on the counter (``_nonzero``,
-``_above``, ``_max_in``, ``_min_in``) give the distance-0 columns, the
-columns beyond k, and the extreme distances.
+``_above``, ``_max_in``, ``_min_in``, ``_by_distance``) give the
+distance-0 columns, the columns beyond k, the extreme distances, and the
+columns split by exact distance.
+
+A failing check keeps its violating pairs as one column mask per row, a
+``Violations`` sequence.  It expands a row into its columns and their
+distances only when read, with C-level ``compress`` and ``map`` over the
+member words packed two masks to an int; no tuple per pair is kept.
 
 Everything is read-only over immutable inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString
@@ -213,6 +220,24 @@ def _min_in(count: list[int], mask: int) -> int:
     return low
 
 
+def _by_distance(count: list[int], mask: int) -> list[tuple[int, int]]:
+    """Split the columns ``mask`` of a counter by exact distance: a list of
+    ``(distance, columns)`` with no empty column set.  Each slice, most
+    significant first, splits every group in two, and no group is kept
+    empty, so there are never more groups than distinct distances."""
+    groups = [(0, mask)] if mask else []
+    for b in range(len(count) - 1, -1, -1):
+        s, bit, split = count[b], 1 << b, []
+        for value, cols in groups:
+            hit = cols & s
+            if hit:
+                split.append((value | bit, hit))
+            if hit != cols:
+                split.append((value, cols ^ hit))
+        groups = split
+    return groups
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Set bit positions of a nonnegative int, ascending."""
     text = bin(mask)[:1:-1]
@@ -222,32 +247,59 @@ def _bits(mask: int) -> Iterator[int]:
         j = text.find("1", j + 1)
 
 
+_SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors
+
+
 class Violations(Sequence):
     """Read-only sequence of the violating pairs ``(i, j, dist(i, j))``, i < j,
     in (i, j) order, kept as one column mask per violating row i.  It
-    compares, hashes and prints as the tuple of its triples.  A positional
-    read walks the rows, so ``reversed`` and ``index`` expand them once."""
+    compares, hashes and prints as the tuple of its triples.
 
-    def __init__(self, rows: list[tuple[int, int]], zero_masks: list[int], one_masks: list[int]):
+    ``_expand`` is the one place that turns a row mask into triples: it
+    selects the row's columns and computes their distances by C-level
+    ``compress`` and ``map`` over the member words packed as
+    ``a_i = z_i | o_i << d`` and ``b_j = o_j | z_j << d``, so that
+    ``dist(i, j) = (a_i & b_j).bit_count()``.  A positional read skips
+    whole rows by their popcounts and expands only the rows it returns
+    from; ``reversed`` and ``index`` expand every row once."""
+
+    def __init__(self, rows: list[tuple[int, int]], zero_masks: list[int], one_masks: list[int],
+                 d: int):
         self._rows = sorted(rows)  # (i, mask of the violating columns j > i)
-        self._zs, self._os = zero_masks, one_masks
-        self._len = sum(mask.bit_count() for _, mask in self._rows)
+        self._ends = list(accumulate(mask.bit_count() for _, mask in self._rows))
+        self._len = self._ends[-1] if self._ends else 0
+        self._n = len(zero_masks)
+        self._a = [z | o << d for z, o in zip(zero_masks, one_masks)] if rows else []
+        self._b = [o | z << d for z, o in zip(zero_masks, one_masks)] if rows else []
+
+    def _expand(self, start: int = 0) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Yield ``(i, js, dists)`` for each violating row from the start-th
+        on: its columns j > i, ascending, and dist(i, j) for each."""
+        n, a, b = self._n, self._a, self._b
+        for i, mask in islice(self._rows, start, None):
+            sel = bin(mask >> (i + 1))[:1:-1].encode().translate(_SELECT)  # column i + 1 first
+            js = list(compress(range(i + 1, n), sel))
+            yield i, js, list(map(int.bit_count, map(a[i].__and__, map(b.__getitem__, js))))
+
+    def _from(self, index: int) -> Iterator[tuple[int, int, int]]:
+        """The triples from position ``index`` on; the rows before it are skipped whole."""
+        row = bisect_right(self._ends, index)
+        triples = (t for i, js, dists in self._expand(row) for t in zip(repeat(i), js, dists))
+        return islice(triples, index - (self._ends[row - 1] if row else 0), None)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        zs, os_ = self._zs, self._os
-        for i, mask in self._rows:
-            zi, oi = zs[i], os_[i]
-            js = list(_bits(mask))
-            yield from zip(repeat(i), js, [((zi & os_[j]) | (oi & zs[j])).bit_count() for j in js])
+        return self._from(0)
 
     def __getitem__(self, index):
         r = range(self._len)[index]
         if isinstance(r, int):
-            return next(islice(self, r, None))
-        return tuple(islice(self, r.start, r.stop, r.step)) if r.step > 0 else tuple(self)[index]
+            return next(self._from(r))
+        if r.step < 0:
+            return tuple(self)[index]
+        return tuple(islice(self._from(r.start), 0, len(r) * r.step, r.step))
 
     def __reversed__(self) -> Iterator[tuple[int, int, int]]:
         return reversed(tuple(self))
@@ -274,7 +326,7 @@ class NeighborlinessReport:
     is_valid: bool
     min_distance: Optional[int]
     max_distance: Optional[int]
-    violations: Sequence[tuple[int, int, int]]
+    violations: Violations
 
     def as_dict(self) -> dict:
         return {
@@ -291,8 +343,8 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     Violating pairs are reported as (i, j, distance) with 0-based member
     indices, i < j, in (i, j) order.  They are kept as one column mask per
     violating row, a ``Violations`` sequence, so they take at most n²/16
-    bytes of masks rather than a tuple per pair.  A single-member family is
-    vacuously valid.
+    bytes of masks and two packed words per member rather than a tuple
+    per pair.  A single-member family is vacuously valid.
     """
     if len(family) < 1:
         raise ValueError("family must have at least one member")
@@ -319,7 +371,7 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
             rows.append((i, bad | far))
     if len(zs) == 1:
         lo = hi = None
-    return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_))
+    return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_, family.dimension))
 
 
 def volume(family: Family) -> int:

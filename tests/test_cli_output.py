@@ -2,7 +2,8 @@
 
 ``nbx verify`` writes its report through ``cli._emit_report`` and every
 other JSON command through ``cli._emit_json``.  Both must print exactly
-``json.dumps(data, indent=2) + "\\n"``, one block at a time, and a closed
+``json.dumps(data, indent=2) + "\\n"``, one block at a time (for the
+report, one row or at most ``_BLOCK`` triples of a row), and a closed
 stdout must end the command with exit status 141 and nothing on stderr.
 """
 
@@ -15,13 +16,13 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbx import Family, NeighborlinessReport, SearchConfig, verify_neighborly
+from nbx import Family, SearchConfig, verify_neighborly
 from nbx import biclique, bounds, constructions, search
 from nbx.cli import _BLOCK, _emit_json, _emit_report, run
 
@@ -48,36 +49,33 @@ class RecordingStdout:
         return len(text)
 
 
-def synthetic_report(valid, lo, hi, count: int, seed: int) -> NeighborlinessReport:
-    rng = random.Random(seed)
-    triples = [
-        (rng.randrange(10**6), rng.randrange(10**6), rng.randrange(40)) for _ in range(count)
-    ]
-    return NeighborlinessReport(valid, lo, hi, tuple(triples))
+def joker_family(count: int, at: int, d: int = 14) -> Family:
+    """The all-joker word at position ``at`` among the first ``count``
+    binary words of length d.  It is at distance 0 from each of them, and
+    the binary words are within k = d of each other, so at k = d its
+    ``count`` pairs are the violations: one in each row before it, and the
+    rest in its own row."""
+    binary = ["".join(w) for w in islice(product("01", repeat=d), count)]
+    return Family.of([*binary[:at], "*" * d, *binary[at:]])
 
 
 @KERNEL
-@given(
-    st.booleans(),
-    st.none() | st.integers(0, 64),
-    st.none() | st.integers(0, 10**9),
-    st.sampled_from([0, 1, 2, 3, 4095, 4096, 4097, 8192]),
-    st.integers(0, 2**32),
-)
-@example(True, None, None, 0, 0)  # a single-member family
-@example(True, 1, 3, 0, 0)
-@example(False, 0, 9, 1, 0)
-@example(False, 0, 9, 4095, 1)
-@example(False, 0, 9, 4096, 2)
-@example(False, 0, 9, 4097, 3)
-@example(False, 0, 9, 8192, 4)
-def test_report_writer_matches_json_dump(valid, lo, hi, count, seed):
-    report = synthetic_report(valid, lo, hi, count, seed)
+@given(st.sampled_from([0, 1, 2, 3, 4095, 4096, 4097, 8192]), st.integers(0, 2**32))
+@example(0, 0)  # a single-member family
+@example(1, 0)
+@example(4097, 0)  # one row longer than a block
+@example(8192, 0)  # one row of two full blocks
+@example(4097, 4097)  # one violation per row
+@example(4096, 1000)
+def test_report_writer_matches_json_dump(count, seed):
+    at = seed % (count + 1)
+    report = verify_neighborly(joker_family(count, at), 14)
+    assert len(report.violations) == count
     assert printed(_emit_report, report) == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
 @KERNEL
-@given(st.integers(1, 40), st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32))
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32))
 def test_report_writer_on_verified_families(n, d, k, seed):
     rng = random.Random(seed)
     words = list(dict.fromkeys("".join(rng.choice("01*") for _ in range(d)) for _ in range(n)))
@@ -94,14 +92,11 @@ def test_report_of_a_single_member_family():
 @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 @pytest.mark.parametrize("joker_first", [True, False])
 def test_verify_prints_the_json_report(count, joker_first, tmp_path, capsys):
-    # the all-joker word is at distance 0 from every other word, and the
-    # binary words of length 13 are within k = 13 of each other: exactly
     # `count` violations, in one row (joker first) or one per row (joker last)
-    binary = ["".join(w) for w in product("01", repeat=13)][:count]
-    words = ["*" * 13, *binary] if joker_first else [*binary, "*" * 13]
+    fam = joker_family(count, 0 if joker_first else count, 13)
     path = tmp_path / "fam.nbx"
-    path.write_text("".join(w + "\n" for w in words))
-    report = verify_neighborly(Family.of(words), 13)
+    path.write_text(fam.to_nbx())
+    report = verify_neighborly(fam, 13)
     assert len(report.violations) == count
     assert run(["verify", str(path), "--k", "13"]) == (1 if count else 0)
     assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2) + "\n"
@@ -132,7 +127,7 @@ def test_verify_memory_does_not_grow_with_the_violations(tmp_path):
 
 
 def test_report_writer_writes_one_block_at_a_time(monkeypatch):
-    report = synthetic_report(False, 0, 9, 2 * _BLOCK + 1, 5)
+    report = verify_neighborly(joker_family(2 * _BLOCK + 1, 0), 14)
     out = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", out)
     _emit_report(report)

@@ -11,10 +11,10 @@ derandomized, so the examples are the same on every run.
 """
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbx import (
     BicliqueCover,
@@ -28,6 +28,7 @@ from nbx import (
     verify_cover,
     verify_neighborly,
 )
+from nbx.cli import _BLOCK
 from nbx.families import _above, _distance_rows, _nonzero
 from nbx.search import _build_graph, _candidates
 
@@ -203,6 +204,70 @@ def test_violations_behave_as_the_tuple_of_triples(words, data):
             got[index]
 
 
+def oracle_rows(words: list[str], bad) -> list[tuple[int, list[int], list[int]]]:
+    """``(i, js, dists)`` for each row i with a pair j > i whose distance
+    ``bad`` flags, by ``sym_distance``."""
+    rows = []
+    for i, w in enumerate(words):
+        pairs = [(j, sym_distance(w, v)) for j, v in enumerate(words) if j > i]
+        pairs = [(j, x) for j, x in pairs if bad(x)]
+        if pairs:
+            rows.append((i, [j for j, _ in pairs], [x for _, x in pairs]))
+    return rows
+
+
+@KERNEL
+@given(random_families(), st.data())
+def test_row_expansion_matches_the_symbol_oracle(words, data):
+    # d runs to 80, so the packed masks z | o << d pass 64 bits and more
+    k = data.draw(st.integers(1, len(words[0])))
+    got = list(verify_neighborly(Family.of(words), k).violations._expand())
+    assert got == oracle_rows(words, lambda x: x == 0 or x > k)
+
+
+def test_row_expansion_of_rows_longer_than_a_block():
+    # two joker words at d = 40 are at distance 0 from each other and from
+    # every binary word; the binary words are within k = 13 of each other
+    binary = ["".join(w) + "0" * 27 for w in islice(product("01", repeat=13), _BLOCK + 2)]
+    words = ["*" * 40, "*" * 39 + "0", *binary]
+    rows = list(verify_neighborly(Family.of(words), 13).violations._expand())
+    assert [len(js) for _, js, _ in rows] == [_BLOCK + 3, _BLOCK + 2]
+    assert rows == [(i, list(range(i + 1, len(words))),
+                     [sym_distance(words[i], w) for w in words[i + 1 :]]) for i in (0, 1)]
+
+
+def test_positional_reads_skip_whole_rows():
+    # word t - 1 is "*" * t + "0" * (5 - t), at distance 0 from the later
+    # joker words and from 2^t of the 32 binary words that follow, which
+    # are within k = 5 of each other: five rows of 6, 7, 10, 17 and 32
+    words = ["*" * t + "0" * (5 - t) for t in range(1, 6)]
+    words += ["".join(w) for w in product("01", repeat=5)]
+    got = verify_neighborly(Family.of(words), 5).violations
+    want = tuple(got)
+    assert [len(js) for _, js, _ in got._expand()] == [6, 7, 10, 17, 32]
+    for index in range(-len(want), len(want)):
+        assert got[index] == want[index], index
+    for start in range(-len(want) - 2, len(want) + 2):
+        for stop in (None, start + 1, start + 5, len(want) + 3, -1):
+            for step in (None, 1, 2, 3, -1, -2):
+                assert got[start:stop:step] == want[start:stop:step], (start, stop, step)
+    # a read expands the rows from the one its first triple is in
+    expand, expanded = got._expand, []
+
+    def spy(start=0):
+        for row in expand(start):
+            expanded.append(row[0])
+            yield row
+
+    got._expand = spy
+    for index in (-1, len(want) // 2, 0):
+        expanded.clear()
+        assert got[index] == want[index] and expanded == [want[index][0]]
+    expanded.clear()
+    assert got[len(want) // 2 :: 2] == want[len(want) // 2 :: 2]
+    assert expanded[0] == want[len(want) // 2][0]
+
+
 @KERNEL
 @given(random_families(binary=True))
 def test_diameter(words):
@@ -318,3 +383,20 @@ def test_verify_cover_with_indistinguishable_vertices():
         assert report == cover_report(cover, k), k
         assert hash(report) == hash(cover_report(cover, k))
     assert {(0, 1, 0), (0, 4, 0), (1, 4, 0), (2, 5, 0)} <= set(verify_cover(cover, 3).violations)
+
+
+def cover_words(cover: BicliqueCover) -> list[str]:
+    """Vertex v's word: 0 where v is in L_i, 1 where in R_i, else a joker."""
+    return ["".join("0" if v in left else "1" if v in right else "*"
+                    for left, right in cover.bicliques) for v in range(cover.n)]
+
+
+@settings(KERNEL, max_examples=100)
+@given(random_covers())
+@example(BicliqueCover.of(6, [({0, 1, 4}, {2, 5}), ({0, 1, 4, 3}, set()), ({3}, {2, 5})]))
+def test_row_expansion_of_covers_matches_the_symbol_oracle(cover):
+    # covers may repeat a vertex word; the example has two repeated words
+    words = cover_words(cover)
+    for k in range(-1, cover.d + 2):
+        got = list(verify_cover(cover, k).violations._expand())
+        assert got == oracle_rows(words, lambda x: not 1 <= x <= k), k
