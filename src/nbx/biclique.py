@@ -14,7 +14,6 @@ is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .families import Family, Violations, _by_distance, _distance_rows
@@ -82,7 +81,7 @@ class CoverReport:
 
     is_valid: bool
     histogram: tuple[tuple[int, int], ...]  # (multiplicity, edge count)
-    violations: Sequence[tuple[int, int, int]]  # (u, v, multiplicity), u < v
+    violations: Violations  # (u, v, multiplicity), u < v
 
     def as_dict(self) -> dict:
         return {
@@ -106,13 +105,13 @@ def family_to_cover(family: Family) -> BicliqueCover:
     return BicliqueCover(len(family), tuple(bicliques))
 
 
-def _vertex_masks(cover: BicliqueCover) -> tuple[list[int], list[int]]:
-    """Vertex words: bit i of zs[v] (os_[v]) is set when v is in L_i (R_i)."""
-    zs, os_ = [0] * cover.n, [0] * cover.n
+def _vertex_masks(cover: BicliqueCover, n: int) -> tuple[list[int], list[int]]:
+    """Words of vertices 0..n-1: bit i of zs[v] (os_[v]) is set when v is in L_i (R_i)."""
+    zs, os_ = [0] * n, [0] * n
     for i, (left, right) in enumerate(cover.bicliques):
-        for v in left:
+        for v in filter(n.__gt__, left):
             zs[v] |= 1 << i
-        for v in right:
+        for v in filter(n.__gt__, right):
             os_[v] |= 1 << i
     return zs, os_
 
@@ -122,10 +121,13 @@ def cover_to_family(cover: BicliqueCover) -> Family:
     v is on the left of a biclique, 1 on the right, joker when absent.
 
     Two vertices that no biclique separates would yield equal strings; that
-    is an error (their edge cannot be covered)."""
+    is an error (their edge cannot be covered).  Two vertices in no
+    biclique both map to the all-joker word, so the first repeat lies
+    among the first ``len(covered) + 2`` vertices, and only those get words."""
+    covered = set().union(*(left | right for left, right in cover.bicliques))
     members = []
     texts = {}
-    for v, key in enumerate(zip(*_vertex_masks(cover))):
+    for v, key in enumerate(zip(*_vertex_masks(cover, min(cover.n, len(covered) + 2)))):
         s = TernaryString(cover.d, *key)
         if key in texts:
             raise ValueError(
@@ -140,7 +142,7 @@ def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
     """Check that every edge of K_n is covered between 1 and k times; edge
     (u, v) is covered dist(u, v) times, the distance of the vertex words."""
     n, d = cover.n, cover.d
-    zs, os_ = _vertex_masks(cover)
+    zs, os_ = _vertex_masks(cover, n)
     full = (1 << n) - 1
     edges = [0] * (d + 1)  # edges covered exactly m times
     rows = []

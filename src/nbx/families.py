@@ -35,10 +35,9 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString
@@ -109,9 +108,6 @@ class Family:
 
     def __getitem__(self, i):
         return self.members[i]
-
-    def __contains__(self, x: TernaryString) -> bool:
-        return any(m == x for m in self.members)
 
     # -- slicing -------------------------------------------------------
 
@@ -259,47 +255,40 @@ class Violations(Sequence):
     selects the row's columns and computes their distances by C-level
     ``compress`` and ``map`` over the member words packed as
     ``a_i = z_i | o_i << d`` and ``b_j = o_j | z_j << d``, so that
-    ``dist(i, j) = (a_i & b_j).bit_count()``.  A positional read skips
-    whole rows by their popcounts and expands only the rows it returns
-    from; ``reversed`` and ``index`` expand every row once."""
+    ``dist(i, j) = (a_i & b_j).bit_count()``.  Every other read is built on
+    iteration: a positional read walks the triples from the first, and
+    ``reversed`` and ``index`` expand every row once."""
 
     def __init__(self, rows: list[tuple[int, int]], zero_masks: list[int], one_masks: list[int],
                  d: int):
         self._rows = sorted(rows)  # (i, mask of the violating columns j > i)
-        self._ends = list(accumulate(mask.bit_count() for _, mask in self._rows))
-        self._len = self._ends[-1] if self._ends else 0
+        self._len = sum(mask.bit_count() for _, mask in self._rows)
         self._n = len(zero_masks)
         self._a = [z | o << d for z, o in zip(zero_masks, one_masks)] if rows else []
         self._b = [o | z << d for z, o in zip(zero_masks, one_masks)] if rows else []
 
-    def _expand(self, start: int = 0) -> Iterator[tuple[int, list[int], list[int]]]:
-        """Yield ``(i, js, dists)`` for each violating row from the start-th
-        on: its columns j > i, ascending, and dist(i, j) for each."""
+    def _expand(self) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Yield ``(i, js, dists)`` for each violating row: its columns
+        j > i, ascending, and dist(i, j) for each."""
         n, a, b = self._n, self._a, self._b
-        for i, mask in islice(self._rows, start, None):
+        for i, mask in self._rows:
             sel = bin(mask >> (i + 1))[:1:-1].encode().translate(_SELECT)  # column i + 1 first
             js = list(compress(range(i + 1, n), sel))
             yield i, js, list(map(int.bit_count, map(a[i].__and__, map(b.__getitem__, js))))
-
-    def _from(self, index: int) -> Iterator[tuple[int, int, int]]:
-        """The triples from position ``index`` on; the rows before it are skipped whole."""
-        row = bisect_right(self._ends, index)
-        triples = (t for i, js, dists in self._expand(row) for t in zip(repeat(i), js, dists))
-        return islice(triples, index - (self._ends[row - 1] if row else 0), None)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return self._from(0)
+        return (t for i, js, dists in self._expand() for t in zip(repeat(i), js, dists))
 
     def __getitem__(self, index):
         r = range(self._len)[index]
         if isinstance(r, int):
-            return next(self._from(r))
+            return next(islice(self, r, None))
         if r.step < 0:
             return tuple(self)[index]
-        return tuple(islice(self._from(r.start), 0, len(r) * r.step, r.step))
+        return tuple(islice(self, r.start, r.stop, r.step))
 
     def __reversed__(self) -> Iterator[tuple[int, int, int]]:
         return reversed(tuple(self))

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,19 @@ class TestCoverToFamily:
         report = verify_cover(cover, 1)
         assert not report.is_valid
         assert (1, 2, 0) in report.violations
+
+    def test_repeated_word_found_among_the_first_vertices(self):
+        # two vertices in no biclique share the all-joker word, so only the
+        # first len(covered) + 2 vertices need words, not all 10**6
+        cover = BicliqueCover.of(10**6, [({0}, {1})])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"vertices 2 and 3 are indistinguishable"):
+                cover_to_family(cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_star_decomposition_gives_chain_like_family(self):
         n = 6

@@ -231,6 +231,15 @@ class TestConvert:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], (text, err)
 
+    def test_oversized_cover_is_a_usage_error(self, capsys, tmp_path):
+        # vertices 2 and 3 lie in no biclique; their repeat is found without
+        # building a word for each of the 10**30 vertices
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"n": 10**30, "bicliques": [{"L": [0], "R": [1]}]}))
+        assert run(["convert", "to-family", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: vertices 2 and 3 are indistinguishable (both map to *)\n"
+
 class TestAudit:
     def test_clean(self, capsys):
         assert run(["audit", "--kmax", "5", "--dmax", "6", "--tsv"]) == 0

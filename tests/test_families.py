@@ -72,6 +72,12 @@ class TestFamilyContainer:
                 assert sum(len(p) for p in pieces) == len(fam)
                 assert {m for p in pieces for m in p} == set(fam.members)
 
+    def test_membership(self):
+        assert TernaryString.parse("01*") in C3
+        assert TernaryString.parse("11*") not in C3
+        assert "01*" not in C3  # the text of a member is not a member
+        assert TernaryString.parse("01") not in C3
+
     def test_delete_coord_maps_each_member(self):
         assert C3.delete_coord(1).texts() == ["00", "01", "1*", "**"]
         for i in (2, 3):

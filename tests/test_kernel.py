@@ -236,7 +236,7 @@ def test_row_expansion_of_rows_longer_than_a_block():
                      [sym_distance(words[i], w) for w in words[i + 1 :]]) for i in (0, 1)]
 
 
-def test_positional_reads_skip_whole_rows():
+def test_positional_reads_match_the_tuple():
     # word t - 1 is "*" * t + "0" * (5 - t), at distance 0 from the later
     # joker words and from 2^t of the 32 binary words that follow, which
     # are within k = 5 of each other: five rows of 6, 7, 10, 17 and 32
@@ -251,21 +251,6 @@ def test_positional_reads_skip_whole_rows():
         for stop in (None, start + 1, start + 5, len(want) + 3, -1):
             for step in (None, 1, 2, 3, -1, -2):
                 assert got[start:stop:step] == want[start:stop:step], (start, stop, step)
-    # a read expands the rows from the one its first triple is in
-    expand, expanded = got._expand, []
-
-    def spy(start=0):
-        for row in expand(start):
-            expanded.append(row[0])
-            yield row
-
-    got._expand = spy
-    for index in (-1, len(want) // 2, 0):
-        expanded.clear()
-        assert got[index] == want[index] and expanded == [want[index][0]]
-    expanded.clear()
-    assert got[len(want) // 2 :: 2] == want[len(want) // 2 :: 2]
-    assert expanded[0] == want[len(want) // 2][0]
 
 
 @KERNEL
@@ -383,6 +368,19 @@ def test_verify_cover_with_indistinguishable_vertices():
         assert report == cover_report(cover, k), k
         assert hash(report) == hash(cover_report(cover, k))
     assert {(0, 1, 0), (0, 4, 0), (1, 4, 0), (2, 5, 0)} <= set(verify_cover(cover, 3).violations)
+
+
+def test_positional_reads_of_a_cover_report():
+    # vertices 0, 1, 4 and 2, 5 repeat a word, as in the test above
+    cover = BicliqueCover.of(6, [({0, 1, 4}, {2, 5}), ({0, 1, 4, 3}, set()), ({3}, {2, 5})])
+    for k in range(-1, cover.d + 2):
+        got, want = verify_cover(cover, k).violations, cover_report(cover, k).violations
+        for index in range(-len(want), len(want)):
+            assert got[index] == want[index], (k, index)
+        for start in range(-len(want) - 1, len(want) + 1):
+            for stop in (None, start + 2, -1):
+                for step in (None, 2, -1):
+                    assert got[start:stop:step] == want[start:stop:step], (k, start, stop, step)
 
 
 def cover_words(cover: BicliqueCover) -> list[str]:
