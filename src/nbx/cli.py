@@ -255,7 +255,7 @@ def _cmd_search(args) -> int:
             {
                 "k": args.k,
                 "d": args.d,
-                "size": len(fams[0]) if fams else 0,
+                "size": len(fams[0]),
                 "count": len(fams),
                 "families": [f.texts() for f in fams],
             }

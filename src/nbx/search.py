@@ -29,13 +29,13 @@ group of coordinate permutations and 0/1 flips: after branching on v it
 drops v's whole orbit under the pointwise stabiliser of the stack.  At the
 root that group is the whole group and its orbits are the joker counts.
 
-Optimizing and enumerating share one walk, ``_Engine.expand``.  They differ
-only in what happens at a clique one larger than ``best``: the optimizer
-raises ``best``; the enumerator holds ``best`` at the proven optimum minus
-one and records the clique, so every prune serves both modes.  With
-symmetry the enumerator finds at least one family per isomorphism class,
-and a worklist closure under three generators of the group (a cycle, a
-swap and a flip of coordinates) turns those into every maximum family.
+Optimizing and enumerating share one walk, ``_Engine.expand``, so every
+prune serves both.  At a clique larger than ``best`` the optimizer raises
+``best``; the enumerator records the clique, first dropping the recorded
+ones if it is larger, so one walk from the seed's size proves the optimum
+and lists every maximum clique.  With symmetry it records at least one per
+isomorphism class, and a worklist closure under three generators of the
+group (a cycle, a swap and a flip of coordinates) gives all of them.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 class EnumerationIncomplete(RuntimeError):
-    """The optimum was not proven, or the enumeration walk ran out of budget."""
+    """A budget stopped the enumeration walk or closure before it completed."""
 
 
 @dataclass
@@ -315,11 +315,11 @@ class _Engine:
 
 
 class _Enumerator(_Engine):
-    """Fixed-target mode of the walk: ``best`` stays at ``target - 1`` and
-    every clique of size ``target`` is recorded.  ``target`` must be the
-    clique number, so a recorded clique has no common neighbours left and
-    the walk never goes deeper than it.  With ``words`` at least one clique
-    of each orbit is recorded."""
+    """Enumeration mode of the walk: every clique of size ``best + 1`` is
+    recorded; a larger one drops those and raises ``best``.  From a ``target``
+    at most the clique number it ends with every maximum clique (with
+    ``words``, at least one per orbit).  ``cap`` counts those of the current
+    size: the final count when the seed is optimal, as on every cell so far."""
 
     def __init__(self, nadj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
         super().__init__(nadj, vols, cube_volume, target, budget_nodes, deadline, words)
@@ -328,6 +328,9 @@ class _Enumerator(_Engine):
         self.found: list[tuple[int, ...]] = []
 
     def _improve(self, stack: list[int]):
+        if len(stack) > self.best + 1:
+            self.found.clear()
+            self.best = len(stack) - 1
         self.found.append(tuple(stack))
         if len(self.found) > self.cap:
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
@@ -361,6 +364,8 @@ def _build_graph(strings: list[TernaryString], k: int, deadline=None):
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
     """Candidates for (k, d), under the capacity guard, which counts them
     (C(d, j)·2^(d-j) with j jokers) before any is built."""
+    if not 1 <= k <= d:
+        raise ValueError("requires 1 <= k <= d")
     n = sum(comb(d, j) << d - j for j in range(d - k + 1))
     if n > cfg.max_candidates:
         raise CapacityExceeded(
@@ -376,14 +381,8 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     Returns the proven optimum, or the best family found when a budget ran
     out (proven_optimal False).  Deterministic for a fixed configuration.
     """
-    return _optimize(k, d, cfg or SearchConfig(), time.monotonic())[0]
-
-
-def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
-    """``max_family`` from the entry time ``start``; also returns the ordered
-    candidates and the engine, whose graph the enumeration walks again."""
-    if not 1 <= k <= d:
-        raise ValueError("requires 1 <= k <= d")
+    start = time.monotonic()
+    cfg = cfg or SearchConfig()
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
@@ -395,7 +394,9 @@ def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
         words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
         if cfg.use_known_bounds:
-            _seed(engine, ordered, k, d)
+            # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
+            index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
+            engine._improve([index_of[m.zero_mask, m.one_mask] for m in realize_mbar(k, d)])
         engine.run()
     except _Done:
         stopped = "cutoff"
@@ -418,20 +419,7 @@ def _optimize(k: int, d: int, cfg: SearchConfig, start: float):
         "budget_nodes": cfg.budget_nodes,
         "budget_secs": cfg.budget_secs,
     }
-    return SearchResult(k, d, engine.best, witness, proven, stats), ordered, engine
-
-
-def _seed(engine: _Engine, ordered: list[TernaryString], k: int, d: int) -> None:
-    """Warm-start the incumbent with the best constructed family, when it
-    maps onto the candidate set."""
-    index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
-    idxs = []
-    for m in realize_mbar(k, d).members:
-        key = (m.zero_mask, m.one_mask)
-        if key not in index_of:
-            return
-        idxs.append(index_of[key])
-    engine._improve(idxs)
+    return SearchResult(k, d, engine.best, witness, proven, stats)
 
 
 def enumerate_max_families(
@@ -439,31 +427,34 @@ def enumerate_max_families(
 ) -> list[Family]:
     """Every maximum k-neighborly family in dimension d, as member sets.
 
-    Runs the optimizer first (it must prove the optimum), then re-runs the
-    same walk in fixed-target mode over the whole candidate set, recording
-    cliques of the proven size.  With symmetry the walk prunes by orbits and
-    records at least one family per isomorphism class; closing those under
-    three generators of the coordinate permutations and flips gives every
-    labelled family, at a cost that grows with their count, not with d!·2^d.
-    ``cap`` bounds the count of families and ``budget_nodes`` each of the
-    two walks on its own.  ``budget_secs`` counts from entry, so it covers
-    the graph build, both walks and the closure.
+    One walk in enumeration mode, from the constructed seed's size (1
+    without ``use_known_bounds``), proves the optimum and records the
+    cliques of that size.  With symmetry it prunes by orbits and records at
+    least one family per isomorphism class; closing those under three
+    generators of the coordinate permutations and flips gives every labelled
+    family, at a cost that grows with their count, not with d!·2^d.  ``cap``
+    bounds the count of families and ``budget_nodes`` the walk.
+    ``budget_secs`` counts from entry: graph build, walk and closure.
     """
     cfg = cfg or SearchConfig()
-    base, ordered, opt = _optimize(k, d, cfg, time.monotonic())
-    if not base.proven_optimal:
-        raise EnumerationIncomplete("optimum not proven within budget; cannot enumerate")
-    engine = _Enumerator(opt.nadj, opt.vols, opt.cube_volume, base.optimum, cap, cfg.budget_nodes,
-                         opt.deadline, opt.words)
+    deadline = None if cfg.budget_secs is None else time.monotonic() + cfg.budget_secs
+    strings = _search_candidates(k, d, cfg)
+    target = len(realize_mbar(k, d)) if cfg.use_known_bounds else 1
     try:
+        ordered, nadj = _build_graph(strings, k, deadline)
+        vols = [1 << s.jokers for s in ordered]
+        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+        engine = _Enumerator(nadj, vols, 1 << d, target, cap, cfg.budget_nodes, deadline, words)
         engine.run()
     except _BudgetExhausted as exc:
         raise EnumerationIncomplete(
-            f"enumeration stopped by {exc.reason} before completing"
+            f"optimum not proven: enumeration stopped by {exc.reason} before completing"
         ) from None
+    if not engine.found:  # the seed is a verified family of size target
+        raise AssertionError("internal error: no family as large as the seed")
     found = [sum(1 << i for i in t) for t in engine.found]
     if cfg.symmetry:
-        found = _close_under_group(found, ordered, d, cap, opt.deadline)
+        found = _close_under_group(found, ordered, d, cap, deadline)
     rank = [0] * len(ordered)  # each candidate's place in text order
     for r, i in enumerate(sorted(range(len(ordered)), key=lambda i: str(ordered[i]))):
         rank[i] = r

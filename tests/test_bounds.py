@@ -106,6 +106,12 @@ class TestClosedFormBounds:
             for k in range(1, d + 1):
                 assert huang_sudakov_upper(k, d) <= alon_upper(k, d)
 
+    def test_out_of_domain_rejected(self):
+        with pytest.raises(ValueError, match="got k=3, d=2"):
+            alon_lower(3, 2)
+        with pytest.raises(ValueError, match="k <= d-1"):
+            ball_lower(3, 3)
+
     def test_alon_upper_growth_chain(self):
         # the binomial sum stays below 2*(2e)^k*(d/k)^k; checked in exact
         # rational arithmetic with a certified lower rational for e (which
@@ -297,6 +303,10 @@ class TestBoundsTable:
             (k, d) for d in range(1, 6) for k in range(1, min(d, 3) + 1)
         }
 
+    def test_nonpositive_grid_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            bounds_table(0, 5)
+
     def test_diagonal_exact(self):
         for entry in bounds_table(8, 8):
             if entry.k == entry.d:
@@ -312,6 +322,9 @@ class TestPascalAudit:
 
     def test_single_entry(self):
         assert pascal_audit(bounds_table(1, 1)) == []
+
+    def test_empty_table(self):
+        assert pascal_audit([]) == []
 
     def test_fabricated_violation(self):
         # an impossible lower bound must be flagged; the cell is chosen so

@@ -108,6 +108,11 @@ class TestFragmented:
         with pytest.raises(ValueError):
             FragmentPlan(2, 20, 6, (2, 1, 1, 1, 1, 1))  # d < C(m,k)+m-1
 
+    def test_plan_dimension_too_small(self):
+        # C(3,2) + 3 - 1 = 5 coordinates needed, 4 given
+        with pytest.raises(ValueError, match="d too small"):
+            FragmentPlan(2, 4, 3, (1, 1, 1))
+
     def test_worked_example_2_7(self):
         plan = FragmentPlan(2, 7, 3, (2, 2, 1))
         parts = fragmented_parts(plan)
@@ -246,6 +251,10 @@ class TestMbarValue:
     def test_worked_value(self):
         assert mbar_value(3, 10).value == 84
 
+    def test_out_of_domain_rejected(self):
+        with pytest.raises(ValueError, match="requires 1 <= k <= d"):
+            mbar_value(3, 2)
+
     def test_k1_no_split_helps(self):
         for d in range(1, 12):
             assert mbar_value(1, d).value == d + 1
@@ -305,4 +314,10 @@ class TestRealizeMbar:
     def test_outputs_are_total_laminations(self):
         for k, d in [(2, 7), (3, 10), (2, 6), (4, 8)]:
             assert is_total_lamination(realize_mbar(k, d))
+
+    def test_at_most_d_minus_k_jokers(self):
+        # so every word is a search candidate, and the search seeds with them all
+        for d in range(1, 11):
+            for k in range(1, d + 1):
+                assert max(m.jokers for m in realize_mbar(k, d)) <= d - k, (k, d)
 

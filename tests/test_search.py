@@ -75,10 +75,13 @@ class TestEngineAgainstBruteForce:
             engine.expand([], (1 << n) - 1, 0)
             omega = brute_force_clique_size(adj)
             assert engine.best == omega, (trial, n, p)
-            # fixed-target mode of the same walk finds every maximum clique
-            enum = _Enumerator(_rows(adj), [1] * n, 1 << 30, omega, 1 << 30, None, None)
-            enum.expand([], (1 << n) - 1, 0)
-            assert sorted(sorted(t) for t in enum.found) == [list(c) for c in all_max_cliques(adj)]
+            # enumeration mode of the same walk finds every maximum clique,
+            # from the clique number or from a floor below it
+            want = [list(c) for c in all_max_cliques(adj)]
+            for target in (omega, 1):
+                enum = _Enumerator(_rows(adj), [1] * n, 1 << 30, target, 1 << 30, None, None)
+                enum.expand([], (1 << n) - 1, 0)
+                assert sorted(sorted(t) for t in enum.found) == want, (trial, target)
 
 
 def _reference_color_order(adj, pool, kmin):
@@ -223,6 +226,11 @@ class TestMaxFamily:
         monkeypatch.setattr(search, "realize_mbar", broken)
         with pytest.raises(ValueError, match="broken construction"):
             max_family(2, 4)
+
+    def test_k_outside_1_to_d_rejected(self):
+        for run, (k, d) in [(max_family, (3, 2)), (enumerate_max_families, (0, 2))]:
+            with pytest.raises(ValueError, match="requires 1 <= k <= d"):
+                run(k, d)
 
     def test_optimum_within_best_bounds(self):
         for k, d in [(1, 4), (2, 4), (2, 5), (3, 4)]:
@@ -428,9 +436,11 @@ class TestEnumerateMaxFamilies:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
             want = {frozenset(cands[i] for i in c) for c in all_max_cliques(adj)}
-            fams = enumerate_max_families(k, d)
-            assert {frozenset(f.texts()) for f in fams} == want, (k, d)
-            assert len(fams) == count, (k, d)
+            # from the constructed seed's size, and from size 1
+            for cfg in (SearchConfig(), SearchConfig(use_known_bounds=False)):
+                fams = enumerate_max_families(k, d, cfg)
+                assert {frozenset(f.texts()) for f in fams} == want, (k, d, cfg)
+                assert len(fams) == count, (k, d, cfg)
 
     def test_joker_limit_loses_no_maximum_family(self):
         # over all 3^d words, with no joker limit, the maximum cliques are
@@ -449,13 +459,13 @@ class TestEnumerateMaxFamilies:
             enumerate_max_families(2, 4, cfg)
 
     def test_enumeration_budget_reported(self):
-        # the optimizer closes (2,5) in 370 nodes; the walk then runs out
+        # the one walk needs 1,040 nodes at (2,5), so it runs out at 400
         cfg = SearchConfig(budget_nodes=400)
         with pytest.raises(EnumerationIncomplete, match="stopped by node-budget"):
             enumerate_max_families(2, 5, cfg)
 
     def test_one_graph_build_and_the_time_budget_covers_the_walk(self, monkeypatch):
-        # both walks read one graph, built in one kernel pass
+        # one walk, on one graph built in one kernel pass
         calls = []
         for name in ("_build_graph", "_non_neighbours"):
             counted = lambda *a, f=getattr(search, name), name=name: calls.append(name) or f(*a)
@@ -463,26 +473,45 @@ class TestEnumerateMaxFamilies:
         max_family(2, 4)
         assert calls == ["_build_graph", "_non_neighbours"]
         calls.clear()
+        walk, walks = _Engine.run, []
+        counted = lambda engine: walks.append(type(engine)) or walk(engine)
+        monkeypatch.setattr(_Engine, "run", counted)
         assert len(enumerate_max_families(2, 4)) == 48
         assert calls == ["_build_graph", "_non_neighbours"]
-        # the optimizer's build and walk fit the budget; the clock then jumps
-        # past it, and the enumeration walk stops on it
+        assert walks == [_Enumerator]
+        # the build fits the budget; the clock then jumps past it, and the
+        # walk stops on it
         clock = [0.0]
         monkeypatch.setattr(search.time, "monotonic", lambda: clock[0])
-        walk = _Engine.run
-        walks = []
+        build = search._build_graph
 
-        def slow_walk(engine):
-            walks.append(type(engine))
-            walk(engine)
-            if type(engine) is _Engine:
-                clock[0] += 10.0
+        def slow_build(*args):
+            graph = build(*args)
+            clock[0] += 10.0
+            return graph
 
-        monkeypatch.setattr(_Engine, "run", slow_walk)
+        monkeypatch.setattr(search, "_build_graph", slow_build)
+        walks.clear()
         cfg = SearchConfig(budget_secs=5.0, use_known_bounds=False)
         with pytest.raises(EnumerationIncomplete, match="stopped by time-budget"):
             enumerate_max_families(2, 4, cfg)
-        assert walks == [_Engine, _Enumerator]
+        assert walks == [_Enumerator]
+
+    def test_one_walk_proves_and_lists(self, monkeypatch):
+        # no optimizer runs first: the enumeration walk from the seed's size
+        # proves the optimum itself (the optimizer took 370 and 9,899 nodes)
+        walk = _Engine.run
+        walks = []
+
+        def counted(engine):
+            walk(engine)
+            walks.append((type(engine), engine.nodes))
+
+        monkeypatch.setattr(_Engine, "run", counted)
+        for (k, d), nodes in {(2, 5): 1040, (3, 5): 29881}.items():
+            walks.clear()
+            enumerate_max_families(k, d)
+            assert walks == [(_Enumerator, nodes)], (k, d)
 
     def test_time_budget_covers_the_closure(self, monkeypatch):
         # a clock that jumps past the budget once the walk is done: closing
@@ -553,6 +582,13 @@ class TestEnumerateMaxFamilies:
             assert sum(size for size, _, _ in got) == len(covered), (k, d)
             assert len(covered) == len(enumerate_max_families(k, d)), (k, d)
             assert sorted(got) == want, (k, d)
+
+    def test_cap_applies_to_the_walk(self):
+        # the plain walk records all 48 maximum (2,4) families itself
+        cfg = SearchConfig(symmetry=False)
+        assert len(enumerate_max_families(2, 4, cfg, cap=48)) == 48
+        with pytest.raises(EnumerationCapExceeded, match="more than 47"):
+            enumerate_max_families(2, 4, cfg, cap=47)
 
     def test_cap_applies_to_the_closure(self):
         # one orbit representative at (2,4) closes to 48 families

@@ -36,6 +36,15 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             TernaryString(2, 0b01, 0b01)
 
+    def test_length_and_masks_checked(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TernaryString(-1, 0, 0)
+        with pytest.raises(ValueError, match="outside"):
+            TernaryString(2, 0b100, 0)
+
+    def test_repr(self):
+        assert repr(parse("01*")) == "TernaryString('01*')"
+
     def test_from_coords(self):
         s = TernaryString.from_coords(3, zeros=[1], ones=[2])
         assert str(s) == "01*"
@@ -55,6 +64,11 @@ class TestDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             t("00").distance(t("000"))
+
+    def test_every_pair_check_rejects_length_mismatch(self):
+        for check in ("hamming", "is_twin", "contains"):
+            with pytest.raises(ValueError, match="length mismatch"):
+                getattr(t("00"), check)(t("000"))
 
     def test_matches_symbol_oracle_exhaustively(self):
         for d in (1, 2, 3):
