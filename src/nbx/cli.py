@@ -326,12 +326,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:
         raise  # a closed stdout is not a usage error: main ends quietly
-    except search.CapacityExceeded as exc:
+    except (search.CapacityExceeded, search.EnumerationCapExceeded) as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2
-    except (
-        search.EnumerationCapExceeded, search.EnumerationIncomplete, ValueError, OSError
-    ) as exc:
+    except (search.EnumerationIncomplete, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

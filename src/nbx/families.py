@@ -54,10 +54,10 @@ class Family:
         seen = set()
         for m in self.members:
             if m.length != self.dimension:
-                raise ValueError(f"member {m} has length {m.length}, expected {self.dimension}")
+                raise ValueError(f"member '{m}' has length {m.length}, expected {self.dimension}")
             key = (m.zero_mask, m.one_mask)
             if key in seen:
-                raise ValueError(f"duplicate member {m}")
+                raise ValueError(f"duplicate member '{m}'")
             seen.add(key)
 
     # -- construction -------------------------------------------------
@@ -232,15 +232,6 @@ def _by_distance(count: list[int], mask: int) -> list[tuple[int, int]]:
                 split.append((value, cols ^ hit))
         groups = split
     return groups
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Set bit positions of a nonnegative int, ascending."""
-    text = bin(mask)[:1:-1]
-    j = text.find("1")
-    while j >= 0:
-        yield j
-        j = text.find("1", j + 1)
 
 
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors

@@ -2,9 +2,9 @@
 
 The problem is a maximum clique instance: vertices are the candidate
 strings, with an edge where the pairwise distance lies in [1, k].
-Candidate sets, non-neighbourhood rows and partial solutions all live in
-Python-int bitmasks.  The solver is a sequential, deterministic branch
-and bound with three admissible prunes:
+Candidate sets and non-neighbourhood rows live in Python-int bitmasks, and
+a partial solution is the stack of its candidate indices.  The solver is a
+sequential, deterministic branch and bound with three admissible prunes:
 
 * greedy coloring of the candidate set (classic clique bound), peeled
   over closed non-neighbourhood rows and listing only the classes that
@@ -47,7 +47,7 @@ from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _above, _bits, _distance_rows, _nonzero, verify_neighborly
+from .families import Family, _above, _distance_rows, _nonzero, verify_neighborly
 from .strings import TernaryString, all_strings
 
 
@@ -316,10 +316,11 @@ class _Engine:
 
 class _Enumerator(_Engine):
     """Enumeration mode of the walk: every clique of size ``best + 1`` is
-    recorded; a larger one drops those and raises ``best``.  From a ``target``
-    at most the clique number it ends with every maximum clique (with
-    ``words``, at least one per orbit).  ``cap`` counts those of the current
-    size: the final count when the seed is optimal, as on every cell so far."""
+    recorded in ``found`` as the sorted tuple of its candidate indices; a
+    larger one drops those and raises ``best``.  From a ``target`` at most
+    the clique number it ends with every maximum clique (with ``words``, at
+    least one per orbit).  ``cap`` counts those of the current size: the
+    final count when the seed is optimal, as on every cell so far."""
 
     def __init__(self, nadj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
         super().__init__(nadj, vols, cube_volume, target, budget_nodes, deadline, words)
@@ -331,7 +332,7 @@ class _Enumerator(_Engine):
         if len(stack) > self.best + 1:
             self.found.clear()
             self.best = len(stack) - 1
-        self.found.append(tuple(stack))
+        self.found.append(tuple(sorted(stack)))
         if len(self.found) > self.cap:
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
@@ -452,44 +453,44 @@ def enumerate_max_families(
         ) from None
     if not engine.found:  # the seed is a verified family of size target
         raise AssertionError("internal error: no family as large as the seed")
-    found = [sum(1 << i for i in t) for t in engine.found]
+    found = engine.found
     if cfg.symmetry:
         found = _close_under_group(found, ordered, d, cap, deadline)
     rank = [0] * len(ordered)  # each candidate's place in text order
     for r, i in enumerate(sorted(range(len(ordered)), key=lambda i: str(ordered[i]))):
         rank[i] = r
     families = []
-    for idxs in sorted(list(_bits(f)) for f in found):
+    for idxs in sorted(found):
         members = tuple(ordered[i] for i in sorted(idxs, key=rank.__getitem__))
         families.append(Family(d, members))
     return families
 
 
-def _close_under_group(families: list[int], ordered, d: int, cap: int, deadline) -> set[int]:
-    """Every image of the families (bitmasks over ``ordered``) under the
-    d!·2^d coordinate permutations and 0/1 flips: a worklist closure under
-    the cycle of all d coordinates, the swap of coordinates 0 and 1 and the
-    flip of coordinate 0.  The d-cycle and a transposition of adjacent
-    coordinates generate every permutation, and conjugating the flip by
-    those gives every flip.  The candidate set is closed under the group, so
-    each generator is a list of candidate indices."""
+def _close_under_group(families, ordered, d: int, cap: int, deadline) -> set[tuple[int, ...]]:
+    """Every image of the families (sorted tuples of indices into ``ordered``)
+    under the d!·2^d coordinate permutations and 0/1 flips: a worklist
+    closure under the cycle of all d coordinates, the swap of coordinates 0
+    and 1 and the flip of coordinate 0.  The d-cycle and a transposition of
+    adjacent coordinates generate every permutation, and conjugating the flip
+    by those gives every flip.  The candidate set is closed under the group,
+    so each generator is a list of candidate indices, and an image is the
+    sorted tuple of the moved indices."""
     index = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
     gens = [[index[f(z), f(o)] for z, o in index] for f in (
         lambda m: (m << 1 | m >> d - 1) & (1 << d) - 1,  # the cycle: coordinate i to i + 1
         lambda m: m ^ ((m ^ m >> 1) & 1) * 3 if d > 1 else m,  # the swap; none when d = 1
     )]
     gens.append([index[z ^ (z ^ o) & 1, o ^ (z ^ o) & 1] for z, o in index])
-    closure, work = set(families), [list(_bits(f)) for f in families]
+    closure, work = set(families), list(families)
     while work:
         if deadline is not None and time.monotonic() > deadline:
             raise EnumerationIncomplete("enumeration stopped by time-budget before completing")
         members = work.pop()
         for gen in gens:
-            moved = [gen[i] for i in members]
-            image = sum([1 << i for i in moved])
+            image = tuple(sorted([gen[i] for i in members]))
             if image not in closure:
                 closure.add(image)
-                work.append(moved)
+                work.append(image)
                 if len(closure) > cap:
                     raise EnumerationCapExceeded(f"more than {cap} maximum families")
     return closure

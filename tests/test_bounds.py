@@ -6,6 +6,7 @@ import pytest
 from nbx import (
     Bound,
     BoundsEntry,
+    GreedyProfile,
     NoValidSplit,
     alon_lower,
     alon_upper,
@@ -188,6 +189,11 @@ class TestGreedyKappa:
         for d in range(1, 10):
             for k in range(1, d + 1):
                 assert greedy_kappa_upper(k, d)[0] == profile_optimum(k, d, kappa)
+
+    def test_profile_total_must_match(self):
+        assert GreedyProfile((3, 1), 4).total == 4
+        with pytest.raises(ValueError, match="total must equal sum"):
+            GreedyProfile((3, 1), 5)
 
 
 class TestRefinedUpper:

@@ -1,9 +1,10 @@
 import inspect
+import io
 import json
 
 import pytest
 
-from nbx import search
+from nbx import bounds, search
 from nbx.cli import run
 
 
@@ -82,6 +83,17 @@ class TestVerify:
 
     def test_missing_file(self, capsys):
         assert run(["verify", "/nonexistent.nbx", "--k", "1"]) == 2
+
+    def test_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("000\n001\n01*\n1**\n"))
+        assert run(["verify", "-", "--k", "1"]) == 0
+        assert json.loads(out_of(capsys))["valid"] is True
+
+    def test_length_error_quotes_the_word(self, capsys, tmp_path):
+        f = tmp_path / "short.nbx"
+        f.write_text("01\n0\n")
+        assert run(["verify", str(f), "--k", "1"]) == 2
+        assert capsys.readouterr().err == "error: member '0' has length 1, expected 2\n"
 
 
 class TestBoundsAndTable:
@@ -177,6 +189,15 @@ class TestSearchCommand:
         with pytest.raises(RecursionError):
             run(["search", "2", "3"])
 
+    def test_enumeration_cap_refused_without_force(self, capsys, monkeypatch):
+        # the 48 maximum (2,4) families exceed a cap of 47
+        enumerate_all = search.enumerate_max_families
+        monkeypatch.setattr(search, "enumerate_max_families",
+                            lambda k, d, cfg, cap=47: enumerate_all(k, d, cfg, 47))
+        assert run(["search", "2", "4", "--enumerate"]) == 2
+        err = capsys.readouterr().err
+        assert "more than 47 maximum families" in err and "--force" in err
+
     def test_capacity_refused_without_force(self, capsys):
         # (2, 11) has 177,124 candidates, beyond the 60,000 default
         code = run(["search", "2", "11"])
@@ -251,6 +272,14 @@ class TestAudit:
         assert run(["audit", "--kmax", "3", "--dmax", "4", "--json"]) == 0
         data = json.loads(out_of(capsys))
         assert all(f["violated"] is False for f in data)
+
+    def test_violation_is_reported(self, capsys, monkeypatch):
+        finding = bounds.PascalFinding(2, 3, 7, 6)
+        monkeypatch.setattr(bounds, "pascal_audit", lambda table: [finding])
+        assert run(["audit", "--kmax", "2", "--dmax", "3", "--tsv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split("\t") == ["2", "3", "7", "6", "-1", "yes"]
+        assert captured.err == "1 violation(s) found\n"
 
 
 class TestReduce:

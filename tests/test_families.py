@@ -87,7 +87,7 @@ class TestFamilyContainer:
 
     def test_delete_coord_rejects_duplicates(self):
         # 000 and 001 differ only at coordinate 3
-        with pytest.raises(ValueError, match="duplicate member 00"):
+        with pytest.raises(ValueError, match="duplicate member '00'"):
             C3.delete_coord(3)
 
     def test_delete_coord_range(self):

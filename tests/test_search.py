@@ -561,6 +561,10 @@ class TestEnumerateMaxFamilies:
             (2, 5): [(240, T, T), (240, T, T), (480, T, T), (640, F, F), (960, T, T)],
             (3, 5): [(240, T, T), (240, T, T), (480, T, T), (480, T, T), (480, T, T),
                      (960, T, T)],
+            # 11 classes with a trivial automorphism group: the closure's heaviest cell
+            (1, 5): [(240, T, T)] + [(480, T, T)] * 2 + [(640, F, F)] * 3 + [(768, F, F)]
+                    + [(960, F, F)] * 3 + [(960, T, T)] * 2 + [(1280, F, F)] * 2
+                    + [(1920, F, F)] * 13 + [(1920, T, T)] + [(3840, F, F)] * 11,
         }
         for (k, d), want in census.items():
             ordered, nadj = search._build_graph(enumerate_candidates(k, d), k)
@@ -571,10 +575,9 @@ class TestEnumerateMaxFamilies:
             enum.run()
             covered, got = set(), []
             for rep in enum.found:
-                mask = sum(1 << i for i in rep)
-                if mask in covered:
+                if rep in covered:
                     continue
-                orbit = search._close_under_group([mask], ordered, d, 10**6, None)
+                orbit = search._close_under_group([rep], ordered, d, 10**6, None)
                 covered |= orbit
                 fam = Family(d, tuple(ordered[i] for i in rep))
                 got.append((len(orbit), is_partition(fam), is_total_lamination(fam)))
