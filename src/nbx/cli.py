@@ -100,6 +100,13 @@ def _emit_table(args, records, header: list[str], row) -> None:
     _rows_out([row(r) for r in (records if many else [records])], header, fmt)
 
 
+def _block_lengths(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbx", description="Neighborly families of boxes: construct, verify, bound, solve."
@@ -124,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = consub.add_parser("fragmented", help="fragmented construction for a block plan")
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--a", type=str, default=None,
+    p.add_argument("--a", type=_block_lengths,
                    help="comma-separated block lengths, one per block (default: optimal plan)")
     p = consub.add_parser("product", help="concatenation product of two .nbx files")
     p.add_argument("left")
@@ -190,13 +197,10 @@ def _cmd_construct(args) -> int:
         if args.a is None:
             plan = constructions.m_value(args.k, args.d).plan
         else:
-            a = tuple(int(x) for x in args.a.split(","))
-            plan = constructions.FragmentPlan(args.k, args.d, len(a), a)
+            plan = constructions.FragmentPlan(args.k, args.d, len(args.a), args.a)
         _emit_family(constructions.fragmented(plan))
     else:  # product
-        left = _load_family(args.left)
-        right = _load_family(args.right)
-        _emit_family(constructions.product(left, right))
+        _emit_family(constructions.product(_load_family(args.left), _load_family(args.right)))
     return 0
 
 
@@ -267,10 +271,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_mkd(args) -> int:
-    if args.mbar:
-        _emit_json(constructions.mbar_value(args.k, args.d).as_dict())
-    else:
-        _emit_json(constructions.m_value(args.k, args.d).as_dict())
+    value = constructions.mbar_value if args.mbar else constructions.m_value
+    _emit_json(value(args.k, args.d).as_dict())
     return 0
 
 

@@ -3,8 +3,9 @@
 The problem is a maximum clique instance: vertices are the candidate
 strings, with an edge where the pairwise distance lies in [1, k].
 Candidate sets and non-neighbourhood rows live in Python-int bitmasks, and
-a partial solution is the stack of its candidate indices.  The solver is a
-sequential, deterministic branch and bound with three admissible prunes:
+a partial solution is the stack of its walk vertices; outside the walk a
+candidate index is a place in text order.  The solver is a sequential,
+deterministic branch and bound with three admissible prunes:
 
 * greedy coloring of the candidate set (classic clique bound), peeled
   over closed non-neighbourhood rows and listing only the classes that
@@ -109,16 +110,14 @@ class SearchResult:
 
 def enumerate_candidates(k: int, d: int) -> list[TernaryString]:
     """All strings that can appear in a maximum k-neighborly family:
-    those with at most d-k jokers.  Sorted by joker count, then text."""
+    those with at most d-k jokers, in text order."""
     if not 1 <= k <= d:
         raise ValueError("requires 1 <= k <= d")
     return _candidates(d, d - k)
 
 
 def _candidates(d: int, limit: int) -> list[TernaryString]:
-    out = [s for s in all_strings(d) if s.jokers <= limit]
-    out.sort(key=lambda s: (s.jokers, str(s)))
-    return out
+    return sorted((s for s in all_strings(d) if s.jokers <= limit), key=str)
 
 
 class _Done(Exception):
@@ -155,12 +154,9 @@ class _Engine:
         self.best = 0
         self.witness: list[int] = []
         # candidates bucketed by subcube volume, for the volume bound
-        self.buckets: list[int] = []
+        self.buckets = [0] * max(vols, default=1).bit_length()
         for v, vol in enumerate(vols):
-            j = vol.bit_length() - 1
-            while len(self.buckets) <= j:
-                self.buckets.append(0)
-            self.buckets[j] |= 1 << v
+            self.buckets[vol.bit_length() - 1] |= 1 << v
 
     def run(self):
         """Walk the whole candidate set.  With symmetry the stack starts
@@ -316,8 +312,8 @@ class _Engine:
 
 class _Enumerator(_Engine):
     """Enumeration mode of the walk: every clique of size ``best + 1`` is
-    recorded in ``found`` as the sorted tuple of its candidate indices; a
-    larger one drops those and raises ``best``.  From a ``target`` at most
+    recorded in ``found`` as the tuple of its walk vertices, in stack order;
+    a larger one drops those and raises ``best``.  From a ``target`` at most
     the clique number it ends with every maximum clique (with ``words``, at
     least one per orbit).  ``cap`` counts those of the current size: the
     final count when the seed is optimal, as on every cell so far."""
@@ -332,7 +328,7 @@ class _Enumerator(_Engine):
         if len(stack) > self.best + 1:
             self.found.clear()
             self.best = len(stack) - 1
-        self.found.append(tuple(sorted(stack)))
+        self.found.append(tuple(stack))
         if len(self.found) > self.cap:
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
@@ -352,14 +348,15 @@ def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list
 
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
-    """Order candidates (degree desc: fewest non-neighbours first; jokers
-    asc; text asc) and return them with the rows the walk reads.  The set is
-    closed under the cube group, which keeps distances and maps a string onto
-    every other with its joker count, so a row's size depends on that alone."""
+    """The walk's vertex order and the rows it reads, in that order: walk vertex
+    v is ``strings[order[v]]``, by degree desc (fewest non-neighbours first),
+    jokers asc, then place in ``strings``.  The set is closed under the cube
+    group, which keeps distances and maps a string onto every other with its
+    joker count, so a row's size depends on that alone."""
     reps = {s.jokers: s for s in strings}
     size = {j: sum(not 1 <= s.distance(t) <= k for t in strings) for j, s in reps.items()}
-    ordered = sorted(strings, key=lambda s: (size[s.jokers], s.jokers, str(s)))
-    return ordered, _non_neighbours(ordered, k, deadline)
+    order = sorted(range(len(strings)), key=lambda i: (size[strings[i].jokers], strings[i].jokers))
+    return order, _non_neighbours([strings[i] for i in order], k, deadline)
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
@@ -387,17 +384,18 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
-    ordered, engine = [], None
+    order, engine = [], None
     stopped = "complete"
     try:
-        ordered, nadj = _build_graph(strings, k, deadline)
-        vols = [1 << s.jokers for s in ordered]
-        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+        order, nadj = _build_graph(strings, k, deadline)
+        walked = [strings[i] for i in order]
+        vols = [1 << s.jokers for s in walked]
+        words = [(s.zero_mask, s.one_mask) for s in walked] if cfg.symmetry else None
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
         if cfg.use_known_bounds:
             # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
-            index_of = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
-            engine._improve([index_of[m.zero_mask, m.one_mask] for m in realize_mbar(k, d)])
+            vertex_of = {(s.zero_mask, s.one_mask): v for v, s in enumerate(walked)}
+            engine._improve([vertex_of[m.zero_mask, m.one_mask] for m in realize_mbar(k, d)])
         engine.run()
     except _Done:
         stopped = "cutoff"
@@ -406,8 +404,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     if engine is None:  # the time budget ran out in the graph build
         engine = _Engine([], [], 1 << d, cutoff, None, None)
 
-    members = tuple(sorted((ordered[i] for i in engine.witness), key=str))
-    witness = Family(d, members)
+    witness = Family(d, tuple(strings[i] for i in sorted(order[v] for v in engine.witness)))
     if len(witness) and not verify_neighborly(witness, k).is_valid:
         raise AssertionError("internal error: witness fails verification")
     proven = stopped in ("complete", "cutoff")
@@ -435,16 +432,19 @@ def enumerate_max_families(
     generators of the coordinate permutations and flips gives every labelled
     family, at a cost that grows with their count, not with d!·2^d.  ``cap``
     bounds the count of families and ``budget_nodes`` the walk.
-    ``budget_secs`` counts from entry: graph build, walk and closure.
+    ``budget_secs`` counts from entry: graph build, walk and closure.  The
+    list is in text order, as is each family, so it depends only on the set
+    of maximum families and not on how the walk numbers its vertices.
     """
     cfg = cfg or SearchConfig()
     deadline = None if cfg.budget_secs is None else time.monotonic() + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     target = len(realize_mbar(k, d)) if cfg.use_known_bounds else 1
     try:
-        ordered, nadj = _build_graph(strings, k, deadline)
-        vols = [1 << s.jokers for s in ordered]
-        words = [(s.zero_mask, s.one_mask) for s in ordered] if cfg.symmetry else None
+        order, nadj = _build_graph(strings, k, deadline)
+        walked = [strings[i] for i in order]
+        vols = [1 << s.jokers for s in walked]
+        words = [(s.zero_mask, s.one_mask) for s in walked] if cfg.symmetry else None
         engine = _Enumerator(nadj, vols, 1 << d, target, cap, cfg.budget_nodes, deadline, words)
         engine.run()
     except _BudgetExhausted as exc:
@@ -453,21 +453,17 @@ def enumerate_max_families(
         ) from None
     if not engine.found:  # the seed is a verified family of size target
         raise AssertionError("internal error: no family as large as the seed")
-    found = engine.found
+    found = [tuple(sorted(order[v] for v in clique)) for clique in engine.found]
+    for idxs in found:  # the closure's images keep distances, so only these need a check
+        if not verify_neighborly(Family(d, tuple(strings[i] for i in idxs)), k).is_valid:
+            raise AssertionError("internal error: enumerated family fails verification")
     if cfg.symmetry:
-        found = _close_under_group(found, ordered, d, cap, deadline)
-    rank = [0] * len(ordered)  # each candidate's place in text order
-    for r, i in enumerate(sorted(range(len(ordered)), key=lambda i: str(ordered[i]))):
-        rank[i] = r
-    families = []
-    for idxs in sorted(found):
-        members = tuple(ordered[i] for i in sorted(idxs, key=rank.__getitem__))
-        families.append(Family(d, members))
-    return families
+        found = _close_under_group(found, strings, d, cap, deadline)
+    return [Family(d, tuple(strings[i] for i in idxs)) for idxs in sorted(found)]
 
 
-def _close_under_group(families, ordered, d: int, cap: int, deadline) -> set[tuple[int, ...]]:
-    """Every image of the families (sorted tuples of indices into ``ordered``)
+def _close_under_group(families, strings, d: int, cap: int, deadline) -> set[tuple[int, ...]]:
+    """Every image of the families (sorted tuples of indices into ``strings``)
     under the d!·2^d coordinate permutations and 0/1 flips: a worklist
     closure under the cycle of all d coordinates, the swap of coordinates 0
     and 1 and the flip of coordinate 0.  The d-cycle and a transposition of
@@ -475,7 +471,7 @@ def _close_under_group(families, ordered, d: int, cap: int, deadline) -> set[tup
     by those gives every flip.  The candidate set is closed under the group,
     so each generator is a list of candidate indices, and an image is the
     sorted tuple of the moved indices."""
-    index = {(s.zero_mask, s.one_mask): i for i, s in enumerate(ordered)}
+    index = {(s.zero_mask, s.one_mask): i for i, s in enumerate(strings)}
     gens = [[index[f(z), f(o)] for z, o in index] for f in (
         lambda m: (m << 1 | m >> d - 1) & (1 << d) - 1,  # the cycle: coordinate i to i + 1
         lambda m: m ^ ((m ^ m >> 1) & 1) * 3 if d > 1 else m,  # the swap; none when d = 1

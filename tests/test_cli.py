@@ -41,6 +41,10 @@ class TestConstruct:
         assert run(["construct", "fragmented", "2", "7", "--a", "2,2"]) == 2
         assert "block lengths must sum to 7" in capsys.readouterr().err
 
+    def test_fragmented_unparsable_plan_names_the_option(self, capsys):
+        assert run(["construct", "fragmented", "2", "7", "--a", "2,,3"]) == 2
+        assert "argument --a: not comma-separated integers: '2,,3'" in capsys.readouterr().err
+
     def test_product(self, capsys, tmp_path):
         a = tmp_path / "a.nbx"
         b = tmp_path / "b.nbx"

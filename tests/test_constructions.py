@@ -201,6 +201,10 @@ class TestChecked:
         with pytest.raises(AssertionError, match=r"not 12-neighborly: \(\(4095, 4096, 13\),\)"):
             _checked(fam, 12, 4097)
 
+    def test_wrong_size_is_rejected(self):
+        with pytest.raises(AssertionError, match="produced 4 members, expected 5"):
+            _checked(canonical(3), 1, 5)
+
 
 class TestMValue:
     def test_table_row_k2(self):

@@ -270,8 +270,8 @@ def test_build_graph():
         for k in range(1, d + 1):
             near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
             order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
-            ordered, nadj = _build_graph(strings, k)
-            assert [str(s) for s in ordered] == [words[i] for i in order], (d, limit, k)
+            walk, nadj = _build_graph(strings, k)
+            assert [words[i] for i in walk] == [words[i] for i in order], (d, limit, k)
             # the closed non-neighbourhoods; a row that kept its own index
             # would never let the walk's colour peel end
             assert nadj == [as_mask(b for b, v in enumerate(order) if v != u and not near[u][v])

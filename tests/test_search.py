@@ -365,9 +365,10 @@ class TestMaxFamily:
             assert result.proven_optimal
             assert (result.optimum, result.stats["nodes"]) == want, (k, d)
         # the fixed-target walk on its own: representatives up to symmetry
-        ordered, nadj = search._build_graph(enumerate_candidates(2, 5), 2)
-        words = [(s.zero_mask, s.one_mask) for s in ordered]
-        vols = [1 << s.jokers for s in ordered]
+        strings = enumerate_candidates(2, 5)
+        order, nadj = search._build_graph(strings, 2)
+        words = [(strings[i].zero_mask, strings[i].one_mask) for i in order]
+        vols = [1 << strings[i].jokers for i in order]
         enum = _Enumerator(nadj, vols, 1 << 5, 12, 10**6, None, None, words)
         enum.run()
         assert (enum.nodes, len(enum.found)) == (1040, 7)
@@ -534,6 +535,28 @@ class TestEnumerateMaxFamilies:
                 fams = enumerate_max_families(k, d)
                 plain = enumerate_max_families(k, d, SearchConfig(symmetry=False))
                 assert [f.texts() for f in fams] == [f.texts() for f in plain], (k, d)
+                # text order at both levels, whatever order the walk visits
+                for walk in (fams, plain):
+                    texts = [f.texts() for f in walk]
+                    assert texts == sorted(texts) and all(t == sorted(t) for t in texts), (k, d)
+
+    def test_every_recorded_family_is_verified(self, monkeypatch):
+        # rows that leave only distance-0 pairs apart: the graph for k = d,
+        # whose cliques (the 16-word binary cube among them) are not 2-neighborly
+        rows = search._non_neighbours
+        monkeypatch.setattr(search, "_non_neighbours",
+                            lambda strings, k, deadline=None: rows(strings, strings[0].length, deadline))
+        with pytest.raises(AssertionError, match="witness fails verification"):
+            max_family(2, 4, SearchConfig(use_known_bounds=False))
+        with pytest.raises(AssertionError, match="enumerated family fails verification"):
+            enumerate_max_families(2, 4)
+
+    def test_a_seed_above_the_optimum_is_an_internal_error(self, monkeypatch):
+        # the (2,4) optimum is 9: from a seed of 10 the walk records nothing
+        ten = Family(4, tuple(enumerate_candidates(4, 4)[:10]))
+        monkeypatch.setattr(search, "realize_mbar", lambda k, d: ten)
+        with pytest.raises(AssertionError, match="no family as large as the seed"):
+            enumerate_max_families(2, 4)
 
     def test_2_5_closed_under_the_group(self):
         fams = enumerate_max_families(2, 5)
@@ -567,19 +590,21 @@ class TestEnumerateMaxFamilies:
                     + [(1920, F, F)] * 13 + [(1920, T, T)] + [(3840, F, F)] * 11,
         }
         for (k, d), want in census.items():
-            ordered, nadj = search._build_graph(enumerate_candidates(k, d), k)
-            words = [(s.zero_mask, s.one_mask) for s in ordered]
-            vols = [1 << s.jokers for s in ordered]
+            strings = enumerate_candidates(k, d)
+            order, nadj = search._build_graph(strings, k)
+            words = [(strings[i].zero_mask, strings[i].one_mask) for i in order]
+            vols = [1 << strings[i].jokers for i in order]
             enum = _Enumerator(nadj, vols, 1 << d, max_family(k, d).optimum, 10**6, None, None,
                                words)
             enum.run()
             covered, got = set(), []
-            for rep in enum.found:
+            for clique in enum.found:
+                rep = tuple(sorted(order[v] for v in clique))
                 if rep in covered:
                     continue
-                orbit = search._close_under_group([rep], ordered, d, 10**6, None)
+                orbit = search._close_under_group([rep], strings, d, 10**6, None)
                 covered |= orbit
-                fam = Family(d, tuple(ordered[i] for i in rep))
+                fam = Family(d, tuple(strings[i] for i in rep))
                 got.append((len(orbit), is_partition(fam), is_total_lamination(fam)))
             assert all((factorial(d) << d) % size == 0 for size, _, _ in got), (k, d)
             assert sum(size for size, _, _ in got) == len(covered), (k, d)
