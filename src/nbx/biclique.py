@@ -75,9 +75,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverReport:
-    """Edge-multiplicity check against a window [1, k]."""
+    """Edge-multiplicity check against a window [1, k].  Reports compare by
+    identity; compare their fields instead."""
 
     is_valid: bool
     histogram: tuple[tuple[int, int], ...]  # (multiplicity, edge count)

@@ -31,7 +31,8 @@ def _checked(family: Family, k: int, expected_size: Optional[int] = None) -> Fam
         raise AssertionError(f"construction produced {len(family)} members, expected {expected_size}")
     report = verify_neighborly(family, k)
     if not report.is_valid:
-        raise AssertionError(f"construction is not {k}-neighborly: {report.violations[:3]}")
+        first = tuple(itertools.islice(report.violations, 3))
+        raise AssertionError(f"construction is not {k}-neighborly: {first}")
     return family
 
 

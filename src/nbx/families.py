@@ -26,18 +26,18 @@ distance-0 columns, the columns beyond k, the extreme distances, and the
 columns split by exact distance.
 
 A failing check keeps its violating pairs as one column mask per row, a
-``Violations`` sequence.  It expands a row into its columns and their
-distances only when read, with C-level ``compress`` and ``map`` over the
-member words packed two masks to an int; no tuple per pair is kept.
+``Violations``, read by iteration and ``len``.  It expands a row into its
+columns and their distances only when read, with C-level ``compress`` and
+``map`` over the member words packed two masks to an int; no tuple per
+pair is kept.
 
 Everything is read-only over immutable inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString
@@ -237,18 +237,17 @@ def _by_distance(count: list[int], mask: int) -> list[tuple[int, int]]:
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors
 
 
-class Violations(Sequence):
-    """Read-only sequence of the violating pairs ``(i, j, dist(i, j))``, i < j,
-    in (i, j) order, kept as one column mask per violating row i.  It
-    compares, hashes and prints as the tuple of its triples.
+class Violations:
+    """The violating pairs ``(i, j, dist(i, j))``, i < j, in (i, j) order,
+    kept as one column mask per violating row i.  Iteration yields the
+    triples, so ``tuple(violations)`` is all of them, and ``len`` counts
+    them without expanding a row.
 
     ``_expand`` is the one place that turns a row mask into triples: it
     selects the row's columns and computes their distances by C-level
     ``compress`` and ``map`` over the member words packed as
     ``a_i = z_i | o_i << d`` and ``b_j = o_j | z_j << d``, so that
-    ``dist(i, j) = (a_i & b_j).bit_count()``.  Every other read is built on
-    iteration: a positional read walks the triples from the first, and
-    ``reversed`` and ``index`` expand every row once."""
+    ``dist(i, j) = (a_i & b_j).bit_count()``."""
 
     def __init__(self, rows: list[tuple[int, int]], zero_masks: list[int], one_masks: list[int],
                  d: int):
@@ -273,35 +272,11 @@ class Violations(Sequence):
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return (t for i, js, dists in self._expand() for t in zip(repeat(i), js, dists))
 
-    def __getitem__(self, index):
-        r = range(self._len)[index]
-        if isinstance(r, int):
-            return next(islice(self, r, None))
-        if r.step < 0:
-            return tuple(self)[index]
-        return tuple(islice(self, r.start, r.stop, r.step))
 
-    def __reversed__(self) -> Iterator[tuple[int, int, int]]:
-        return reversed(tuple(self))
-
-    def index(self, value, *bounds) -> int:
-        return tuple(self).index(value, *bounds)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, Violations)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborlinessReport:
-    """Outcome of a pairwise distance check against a window [1, k]."""
+    """Outcome of a pairwise distance check against a window [1, k].
+    Reports compare by identity; compare their fields instead."""
 
     is_valid: bool
     min_distance: Optional[int]
@@ -322,9 +297,10 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
 
     Violating pairs are reported as (i, j, distance) with 0-based member
     indices, i < j, in (i, j) order.  They are kept as one column mask per
-    violating row, a ``Violations`` sequence, so they take at most n²/16
-    bytes of masks and two packed words per member rather than a tuple
-    per pair.  A single-member family is vacuously valid.
+    violating row, a ``Violations``, so they take at most n²/16 bytes of
+    masks and two packed words per member rather than a tuple per pair;
+    iterate it, or take ``tuple(report.violations)``, to read the triples.
+    A single-member family is vacuously valid.
     """
     if len(family) < 1:
         raise ValueError("family must have at least one member")

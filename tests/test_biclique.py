@@ -89,7 +89,7 @@ class TestFamilyToCover:
         fam = Family.of(["0*", "00"])  # distance 0 pair
         report = verify_cover(family_to_cover(fam), 1)
         assert not report.is_valid
-        assert report.violations == ((0, 1, 0),)
+        assert tuple(report.violations) == ((0, 1, 0),)
 
 
 class TestCoverToFamily:

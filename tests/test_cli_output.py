@@ -191,6 +191,22 @@ def test_bounds_grid_output_is_pinned(args, size, digest, capsys):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize("family, k, size, digest", [
+    (lambda: constructions.extremal_dminus1(10), 7, 311_723,
+     "f58efa6f11539dbb29d2d6380ba422810c4632d7868e9227ca21418df6f394bf"),
+    (lambda: joker_family(_BLOCK + 1, 0, 13), 13, 171_053,
+     "d116150ea2f2c7d4f29cc2ea7b3179991727aa37b61fcc909a505ce5198d4ceb"),
+], ids=["extremal-10-k7", "joker-row-over-a-block"])
+def test_verify_output_is_pinned(family, k, size, digest, tmp_path, capsys):
+    # independent of `as_dict`: extremal(10) at k = 7 has 7,296 violations
+    # in rows up to 19 long; the joker family has one row of _BLOCK + 1
+    path = tmp_path / "fam.nbx"
+    path.write_text(family().to_nbx())
+    assert run(["verify", str(path), "--k", str(k)]) == 1
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
 def test_fragmented_output_is_pinned(capsys):
     # taken when the block count was still given as --m 3 next to --a
     assert run(["construct", "fragmented", "2", "7", "--a", "2,2,1"]) == 0

@@ -106,13 +106,13 @@ class TestVerifyNeighborly:
     def test_violation_reported(self):
         report = verify_neighborly(Family.of(["00", "11"]), 1)
         assert not report.is_valid
-        assert report.violations == ((0, 1, 2),)
+        assert tuple(report.violations) == ((0, 1, 2),)
         assert report.max_distance == 2
 
     def test_distance_zero_is_a_violation(self):
         report = verify_neighborly(Family.of(["0*", "00"]), 1)
         assert not report.is_valid
-        assert report.violations == ((0, 1, 0),)
+        assert tuple(report.violations) == ((0, 1, 0),)
 
     def test_singleton_vacuous(self):
         report = verify_neighborly(Family.of(["0*"]), 1)
