@@ -120,11 +120,9 @@ def _candidates(d: int, limit: int) -> list[TernaryString]:
     return sorted((s for s in all_strings(d) if s.jokers <= limit), key=str)
 
 
-class _Done(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a walk early: ``reason`` is "cutoff", "node-budget" or "time-budget"."""
 
-
-class _BudgetExhausted(Exception):
     def __init__(self, reason: str):
         self.reason = reason
 
@@ -132,14 +130,15 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Branch-and-bound state over one ordered candidate list.
 
-    ``nadj`` is the graph's one row set, kept as ``_build_graph`` emits it:
-    row v holds the vertices not adjacent to v, other than v.  ``words``
-    holds each candidate's (zero_mask, one_mask) over the log2(cube_volume)
-    coordinates; given, the walk prunes by orbital branching under the
-    coordinate permutations and 0/1 flips, and the volume buckets (one per
-    joker count) are the orbits at the root.  Without it the walk is the
-    plain clique search.  ``deadline`` is the time.monotonic() reading at
-    which ``budget_secs`` runs out, or None.
+    ``nadj``, ``vols`` and ``words`` are kept as ``_build_graph`` emits
+    them, in walk order: row v holds the vertices not adjacent to v, other
+    than v; ``vols[v]`` is v's subcube volume; ``words[v]`` is its
+    (zero_mask, one_mask) over the log2(cube_volume) coordinates.  Given
+    ``words``, the walk prunes by orbital branching under the coordinate
+    permutations and 0/1 flips, and the volume buckets (one per joker count)
+    are the orbits at the root.  Without it the walk is the plain clique
+    search.  ``deadline`` is the time.monotonic() reading at which
+    ``budget_secs`` runs out, or None.
     """
 
     def __init__(self, nadj, vols, cube_volume, cutoff, budget_nodes, deadline, words=None):
@@ -168,17 +167,17 @@ class _Engine:
     def _tick(self):
         self.nodes += 1
         if self.budget_nodes is not None and self.nodes > self.budget_nodes:
-            raise _BudgetExhausted("node-budget")
+            raise _Stop("node-budget")
         # nodes 1, 1025, ...: a budget spent before the walk stops it at once
         if self.deadline is not None and self.nodes & 1023 == 1:
             if time.monotonic() > self.deadline:
-                raise _BudgetExhausted("time-budget")
+                raise _Stop("time-budget")
 
     def _improve(self, stack: list[int]):
         self.best = len(stack)
         self.witness = list(stack)
         if self.best >= self.cutoff:
-            raise _Done
+            raise _Stop("cutoff")
 
     def _volume_room(self, pool: int, cap: int) -> int:
         """Upper bound on how many pool members any disjoint extension can
@@ -342,21 +341,26 @@ def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list
     rows = [0] * len(strings)
     for i, count in _distance_rows(zs, os_, strings[0].length):
         if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExhausted("time-budget")
+            raise _Stop("time-budget")
         rows[i] = (full & ~_nonzero(count) | _above(count, k, full)) ^ 1 << i
     return rows
 
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
-    """The walk's vertex order and the rows it reads, in that order: walk vertex
-    v is ``strings[order[v]]``, by degree desc (fewest non-neighbours first),
-    jokers asc, then place in ``strings``.  The set is closed under the cube
-    group, which keeps distances and maps a string onto every other with its
-    joker count, so a row's size depends on that alone."""
+    """Everything the walk reads, as ``(order, nadj, vols, words)``: walk
+    vertex v is ``strings[order[v]]``, by degree desc (fewest non-neighbours
+    first), jokers asc, then place in ``strings``, and the rest hold in walk
+    order its closed non-neighbourhood row, subcube volume and (zero_mask,
+    one_mask).  The set is closed under the cube group, which keeps distances
+    and maps a string onto every other with its joker count, so a row's size
+    depends on that alone."""
     reps = {s.jokers: s for s in strings}
     size = {j: sum(not 1 <= s.distance(t) <= k for t in strings) for j, s in reps.items()}
     order = sorted(range(len(strings)), key=lambda i: (size[strings[i].jokers], strings[i].jokers))
-    return order, _non_neighbours([strings[i] for i in order], k, deadline)
+    walked = [strings[i] for i in order]
+    vols = [1 << s.jokers for s in walked]
+    words = [(s.zero_mask, s.one_mask) for s in walked]
+    return order, _non_neighbours(walked, k, deadline), vols, words
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
@@ -384,25 +388,20 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
-    order, engine = [], None
+    # what a graph build stopped by the time budget leaves
+    order, engine = [], _Engine([], [], 1 << d, cutoff, None, None)
     stopped = "complete"
     try:
-        order, nadj = _build_graph(strings, k, deadline)
-        walked = [strings[i] for i in order]
-        vols = [1 << s.jokers for s in walked]
-        words = [(s.zero_mask, s.one_mask) for s in walked] if cfg.symmetry else None
-        engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline, words)
+        order, nadj, vols, words = _build_graph(strings, k, deadline)
+        engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline,
+                         words if cfg.symmetry else None)
         if cfg.use_known_bounds:
             # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
-            vertex_of = {(s.zero_mask, s.one_mask): v for v, s in enumerate(walked)}
+            vertex_of = {w: v for v, w in enumerate(words)}
             engine._improve([vertex_of[m.zero_mask, m.one_mask] for m in realize_mbar(k, d)])
         engine.run()
-    except _Done:
-        stopped = "cutoff"
-    except _BudgetExhausted as exc:
+    except _Stop as exc:
         stopped = exc.reason
-    if engine is None:  # the time budget ran out in the graph build
-        engine = _Engine([], [], 1 << d, cutoff, None, None)
 
     witness = Family(d, tuple(strings[i] for i in sorted(order[v] for v in engine.witness)))
     if len(witness) and not verify_neighborly(witness, k).is_valid:
@@ -441,13 +440,11 @@ def enumerate_max_families(
     strings = _search_candidates(k, d, cfg)
     target = len(realize_mbar(k, d)) if cfg.use_known_bounds else 1
     try:
-        order, nadj = _build_graph(strings, k, deadline)
-        walked = [strings[i] for i in order]
-        vols = [1 << s.jokers for s in walked]
-        words = [(s.zero_mask, s.one_mask) for s in walked] if cfg.symmetry else None
-        engine = _Enumerator(nadj, vols, 1 << d, target, cap, cfg.budget_nodes, deadline, words)
+        order, nadj, vols, words = _build_graph(strings, k, deadline)
+        engine = _Enumerator(nadj, vols, 1 << d, target, cap, cfg.budget_nodes, deadline,
+                             words if cfg.symmetry else None)
         engine.run()
-    except _BudgetExhausted as exc:
+    except _Stop as exc:
         raise EnumerationIncomplete(
             f"optimum not proven: enumeration stopped by {exc.reason} before completing"
         ) from None

@@ -215,6 +215,43 @@ def test_fragmented_output_is_pinned(capsys):
         168, "618148d643c6e92ee6e9e44d400a5587e91b352acafef39b326584a864678ec7")
 
 
+@pytest.mark.parametrize("k, d, size, digest", [
+    (2, 4, 6_695, "755aceb7420b7c0ad7a71315ccd424e2dcff7f80a8d881027c38d9c9f175a19a"),
+    (2, 5, 491_594, "c3f77742631bf034511c71966d478b18e843550178e6b70ae1d3f786ace59cec"),
+    (3, 5, 812_234, "e03ed3bd9eab3ddef673c2af5b4cdb189f63e3d1a3df430bc622fda5a136fde4"),
+])
+def test_enumerate_output_is_pinned(k, d, size, digest, capsys):
+    # every maximum family, in text order at both levels
+    assert run(["search", str(k), str(d), "--enumerate"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("args, fields, witness", [
+    ("search 3 5", (18, True, 9_899, "complete", 21, 192, None),
+     "228fe1c9c4cf65b547dcda627b0159d27fb3fa4cdbbc0c0f541d4a1d17872a93"),
+    ("search 4 7 --budget-nodes 2000", (54, False, 2_001, "node-budget", 62, 1_808, 2_000),
+     "12e4e351899436d45b9068919898c7f6babd09e8b43dd8bdd342f9153b99b71d"),
+    ("search 2 5 --budget-nodes 10", (12, False, 11, "node-budget", 15, 232, 10),
+     "6028589a83418d9980586cc8d019b75c6d7ba8ea4257cd4bc5cad4aa4523169b"),
+], ids=["3-5", "4-7-budget", "2-5-budget"])
+def test_search_output_is_pinned(args, fields, witness, capsys):
+    # every field but elapsed_secs; the witness by the SHA-256 of its
+    # space-joined words
+    assert run(args.split()) == 0
+    data = json.loads(capsys.readouterr().out)
+    stats = data.pop("stats")
+    assert stats.pop("elapsed_secs") >= 0
+    assert stats.pop("budget_secs") is None
+    assert [data.pop(key) for key in ("k", "d")] == [int(x) for x in args.split()[1:3]]
+    assert (
+        data.pop("optimum"), data.pop("proven_optimal"), stats.pop("nodes"), stats.pop("stopped"),
+        stats.pop("upper_cutoff"), stats.pop("candidates"), stats.pop("budget_nodes"),
+    ) == fields
+    assert hashlib.sha256(" ".join(data.pop("witness")).encode()).hexdigest() == witness
+    assert data == {} and stats == {}
+
+
 def closed_early(args: list[str], tmp_path: Path) -> tuple[int, bytes]:
     """Exit status and stderr of a command whose reader stops after 16 bytes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

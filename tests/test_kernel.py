@@ -247,8 +247,12 @@ def test_build_graph():
         for k in range(1, d + 1):
             near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
             order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
-            walk, nadj = _build_graph(strings, k)
+            walk, nadj, vols, masks = _build_graph(strings, k)
             assert [words[i] for i in walk] == [words[i] for i in order], (d, limit, k)
+            # volumes and (zero, one) masks in walk order, read off the text
+            assert vols == [2 ** words[u].count("*") for u in order]
+            assert masks == [tuple(as_mask(j for j, ch in enumerate(words[u]) if ch == sym)
+                                   for sym in "01") for u in order]
             # the closed non-neighbourhoods; a row that kept its own index
             # would never let the walk's colour peel end
             assert nadj == [as_mask(b for b, v in enumerate(order) if v != u and not near[u][v])

@@ -23,7 +23,7 @@ from nbx import (
     verify_neighborly,
 )
 from nbx import search
-from nbx.search import _Engine, _Enumerator
+from nbx.search import _Engine, _Enumerator, _Stop
 
 from _oracles import all_max_cliques, brute_force_clique_size, sym_distance
 
@@ -75,6 +75,13 @@ class TestEngineAgainstBruteForce:
             engine.expand([], (1 << n) - 1, 0)
             omega = brute_force_clique_size(adj)
             assert engine.best == omega, (trial, n, p)
+            # a cutoff at the clique number stops the walk at a maximum clique
+            engine = _Engine(_rows(adj), [1] * n, 1 << 30, omega, None, None)
+            with pytest.raises(_Stop) as stop:
+                engine.run()
+            assert stop.value.reason == "cutoff", trial
+            assert engine.best == len(engine.witness) == omega, trial
+            assert all(adj[u] >> v & 1 for u in engine.witness for v in engine.witness if u != v)
             # enumeration mode of the same walk finds every maximum clique,
             # from the clique number or from a floor below it
             want = [list(c) for c in all_max_cliques(adj)]
@@ -183,6 +190,15 @@ class TestMaxFamily:
             for symmetry in (True, False):
                 cfg = SearchConfig(symmetry=symmetry)
                 assert max_family(k, d, cfg).optimum == want
+
+    def test_seed_at_the_cutoff_walks_no_node(self):
+        # the constructed seed meets the closed-form upper bound
+        for (k, d), want in [((4, 5), 24), ((1, 5), 6)]:
+            result = max_family(k, d)
+            assert (result.optimum, result.stats["upper_cutoff"]) == (want, want)
+            assert result.stats["stopped"] == "cutoff"
+            assert result.stats["nodes"] == 0
+            assert result.proven_optimal
 
     def test_raw_engine_reproduces_values(self):
         # no warm start, no closed-form cutoff: the search itself must
@@ -366,9 +382,7 @@ class TestMaxFamily:
             assert (result.optimum, result.stats["nodes"]) == want, (k, d)
         # the fixed-target walk on its own: representatives up to symmetry
         strings = enumerate_candidates(2, 5)
-        order, nadj = search._build_graph(strings, 2)
-        words = [(strings[i].zero_mask, strings[i].one_mask) for i in order]
-        vols = [1 << strings[i].jokers for i in order]
+        _, nadj, vols, words = search._build_graph(strings, 2)
         enum = _Enumerator(nadj, vols, 1 << 5, 12, 10**6, None, None, words)
         enum.run()
         assert (enum.nodes, len(enum.found)) == (1040, 7)
@@ -591,9 +605,7 @@ class TestEnumerateMaxFamilies:
         }
         for (k, d), want in census.items():
             strings = enumerate_candidates(k, d)
-            order, nadj = search._build_graph(strings, k)
-            words = [(strings[i].zero_mask, strings[i].one_mask) for i in order]
-            vols = [1 << strings[i].jokers for i in order]
+            order, nadj, vols, words = search._build_graph(strings, k)
             enum = _Enumerator(nadj, vols, 1 << d, max_family(k, d).optimum, 10**6, None, None,
                                words)
             enum.run()
