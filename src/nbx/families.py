@@ -6,9 +6,12 @@ partitions, laminations and total laminations, the signed-sum identity on
 partitions, and the twin-merge reduction of a partition down to the
 single all-joker string.
 
-Every family-wide pair check runs through one bit-sliced kernel,
-``_distance_rows``.  It transposes the family into per-coordinate member
-bit-sets ``Z[c]`` and ``O[c]`` (bit j set when member j has 0, resp. 1, at
+In this module every pair check is ``verify_neighborly``, its one pair
+loop: a partition is a d-neighborly family of volume 2^d, and a diameter
+is the largest distance in a report.  The loop reads the bit-sliced
+kernel ``_distance_rows``, which the search graph and the biclique cover
+share.  It transposes the family into per-coordinate member bit-sets
+``Z[c]`` and ``O[c]`` (bit j set when member j has 0, resp. 1, at
 coordinate c) and, for each member i, adds ``O[c]`` over the 0-coordinates
 of i and ``Z[c]`` over its 1-coordinates into a vertical counter of
 ``d.bit_length()`` member bit-sets, so bit j of slice b is bit b of
@@ -37,10 +40,11 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional
 
-from .strings import SYMBOLS, TernaryString
+from .strings import SYMBOLS, TernaryString, _drop
 
 
 @dataclass(frozen=True)
@@ -338,16 +342,16 @@ def volume(family: Family) -> int:
 
 def is_partition(family: Family) -> bool:
     """True iff the subcubes are pairwise disjoint and cover the whole cube:
-    total volume 2^d, and no two members at distance 0 (their subcubes meet)."""
-    if volume(family) != 1 << family.dimension:
-        return False
-    zs = [m.zero_mask for m in family.members]
-    os_ = [m.one_mask for m in family.members]
-    full = (1 << len(zs)) - 1
-    for i, count in _distance_rows(zs, os_, family.dimension):
-        if full >> (i + 1) << (i + 1) & ~_nonzero(count):
-            return False
-    return True
+    a d-neighborly family (no two members at distance 0) of volume 2^d."""
+    d = family.dimension
+    return volume(family) == 1 << d and (len(family) == 1 or verify_neighborly(family, d).is_valid)
+
+
+def _splits(props: Iterable[int], d: int) -> Iterator[int]:
+    """The 0-based coordinates, ascending, at which every mask in ``props``
+    is set: where a partition with these non-joker masks splits in two."""
+    common = reduce(int.__and__, props, (1 << d) - 1)
+    return (c for c in range(d) if common >> c & 1)
 
 
 def is_lamination(family: Family) -> Optional[int]:
@@ -355,11 +359,8 @@ def is_lamination(family: Family) -> Optional[int]:
     1-sides (every member non-joker there), or None."""
     if not is_partition(family):
         return None
-    for i in range(1, family.dimension + 1):
-        bit = 1 << (i - 1)
-        if all(m.prop_mask & bit for m in family.members):
-            return i
-    return None
+    props = (m.prop_mask for m in family.members)
+    return next((c + 1 for c in _splits(props, family.dimension)), None)
 
 
 def is_total_lamination(family: Family) -> bool:
@@ -380,17 +381,10 @@ def _total_lamination(d: int, key: frozenset, memo: dict) -> bool:
         return True  # a partition, so the all-joker singleton or the binary cube
     if (d, key) not in memo:
         memo[(d, key)] = False
-        for c in range(d):
+        for c in _splits((z | o for z, o in key), d):
             bit = 1 << c
-            if not all((z | o) & bit for z, o in key):
-                continue
-            low = bit - 1
-
-            def drop(mask: int) -> int:
-                return (mask & low) | ((mask >> 1) & ~low)
-
-            side0 = frozenset((drop(z), drop(o)) for z, o in key if z & bit)
-            side1 = frozenset((drop(z), drop(o)) for z, o in key if o & bit)
+            side0 = frozenset((_drop(z, c), _drop(o, c)) for z, o in key if z & bit)
+            side1 = frozenset((_drop(z, c), _drop(o, c)) for z, o in key if o & bit)
             if _total_lamination(d - 1, side0, memo) and _total_lamination(d - 1, side1, memo):
                 memo[(d, key)] = True
                 break
@@ -449,7 +443,8 @@ def max_joker_ok(family: Family, k: int) -> bool:
 
 def diameter(points: Iterable[TernaryString]) -> int:
     """Largest pairwise Hamming distance of a nonempty set of joker-free
-    strings."""
+    strings: the largest distance ``verify_neighborly`` reports on the
+    distinct points at k = d.  Points may repeat."""
     pts = list(points)
     if not pts:
         raise ValueError("diameter of an empty set")
@@ -459,9 +454,8 @@ def diameter(points: Iterable[TernaryString]) -> int:
             raise ValueError("length mismatch")
         if not p.is_binary:
             raise ValueError("diameter is defined for joker-free strings")
-    full = (1 << len(pts)) - 1
-    # joker-free, so the distance is the Hamming distance; dist(i, i) = 0
-    return max(
-        _max_in(count, full)
-        for _, count in _distance_rows([p.zero_mask for p in pts], [p.one_mask for p in pts], d)
-    )
+    distinct = tuple(dict.fromkeys(pts))
+    if len(distinct) == 1:
+        return 0
+    # joker-free, so the distance is the Hamming distance
+    return verify_neighborly(Family(d, distinct), d).max_distance

@@ -32,6 +32,12 @@ def _mask_from_coords(length: int, coords) -> int:
     return mask
 
 
+def _drop(mask: int, c: int) -> int:
+    """Delete bit c of a mask, shifting the higher bits down by one."""
+    low = (1 << c) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
+
+
 @dataclass(frozen=True, slots=True)
 class TernaryString:
     """An immutable word over {0, 1, *} of a fixed length.
@@ -192,12 +198,8 @@ class TernaryString:
         """Drop 1-based coordinate i, shifting later coordinates down."""
         if not 1 <= i <= self.length:
             raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        low = (1 << (i - 1)) - 1
-
-        def drop(mask: int) -> int:
-            return (mask & low) | ((mask >> 1) & ~low)
-
-        return TernaryString(self.length - 1, drop(self.zero_mask), drop(self.one_mask))
+        c = i - 1
+        return TernaryString(self.length - 1, _drop(self.zero_mask, c), _drop(self.one_mask, c))
 
     # -- subcube view ------------------------------------------------------
 

@@ -26,6 +26,46 @@ def sym_subcube(a: str) -> list[str]:
     return ["".join(w) for w in itertools.product(*pools)]
 
 
+# -- partitions and laminations on text ------------------------------------
+
+
+def sym_partition(words: list[str], d: int) -> bool:
+    """The expanded subcubes of the words hit every binary word of length d
+    exactly once."""
+    points = [p for w in words for p in sym_subcube(w)]
+    return len(points) == 2**d and set(points) == {
+        "".join(w) for w in itertools.product("01", repeat=d)
+    }
+
+
+def sym_lamination(words: list[str], d: int):
+    """First 1-based column with no joker in any word of a partition, or
+    None."""
+    if not sym_partition(words, d):
+        return None
+    for i in range(d):
+        if all(w[i] != "*" for w in words):
+            return i + 1
+    return None
+
+
+def sym_total_lamination(words: list[str], d: int) -> bool:
+    """A partition that is one word, or that some joker-free column splits
+    into two sides, each a total lamination once that column is dropped."""
+    return sym_partition(words, d) and _sym_splits_down(words, d)
+
+
+def _sym_splits_down(words: list[str], d: int) -> bool:
+    if len(words) == 1:
+        return True
+    for i in range(d):
+        if all(w[i] != "*" for w in words):
+            sides = [[w[:i] + w[i + 1 :] for w in words if w[i] == s] for s in "01"]
+            if all(_sym_splits_down(side, d - 1) for side in sides):
+                return True
+    return False
+
+
 # -- biclique covers -----------------------------------------------------
 
 

@@ -227,6 +227,42 @@ def test_enumerate_output_is_pinned(k, d, size, digest, capsys):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize("pipeline, size, digest", [
+    (["construct canonical 6"], 49,
+     "0e85da37d4abd89b97f5ff49a3197f71190cf4e81602c7b1085d0c28ccbec00b"),
+    (["construct ball 3 7"], 64,
+     "75c83c3ea36377727d4251942e0ecf4e83872ea066e4434b74ad0073828cd369"),
+    (["construct extremal 13"], 86_016,
+     "ce94f41fd615f8efe75f23bba8a114299460a23a04b83f914cc269ea13fe2b9c"),
+    (["construct mbar 4 16"], 12_393,
+     "6042aa243062480fb12630e755ac27f8cf7ae189787515d7be6b4933400ddea5"),
+    (["construct canonical 6", "reduce -"], 308,
+     "efcd29c08ea4c83d704fbde997e3c183a0e97e541d7bcd170970f1054c2cf4c3"),
+    (["construct extremal 5", "reduce -"], 2_213,
+     "e1a514c863efe63ccba34f602473c96889f06b11ae27f257d0ff0f30bfd3eb7d"),
+    (["construct extremal 8", "convert to-cover -"], 18_724,
+     "409e32b23c2147c8411a679f786b22ef373fcd6299bfa98a2962b566c6c59bd4"),
+    # the cover converts back to the extremal 8 family, byte for byte
+    (["construct extremal 8", "convert to-cover -", "convert to-family -"], 1_728,
+     "c2796de5f0ee479de0cb0d5a8ae2e80ceeb183005dfe5311aabe3bf398478716"),
+    (["mkd 4 40 --mbar"], 169,
+     "5c45a607a0981d0428503ff9f1fefe66d2dbef4a4c0660493157ff5821d9d82a"),
+    (["mkd 3 10"], 69,
+     "d1d14626169706b284c268a94e4568210527b7ed23b2350c43d1339ef14ea12f"),
+], ids=["canonical-6", "ball-3-7", "extremal-13", "mbar-4-16", "reduce-canonical-6",
+        "reduce-extremal-5", "to-cover-extremal-8", "to-family-extremal-8", "mkd-4-40-mbar",
+        "mkd-3-10"])
+def test_pipeline_output_is_pinned(pipeline, size, digest, monkeypatch, capsys):
+    # each command reads the output of the one before it on stdin
+    out = ""
+    for args in pipeline:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert run(args.split()) == 0
+        out = capsys.readouterr().out
+    out = out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
 @pytest.mark.parametrize("args, fields, witness", [
     ("search 3 5", (18, True, 9_899, "complete", 21, 192, None),
      "228fe1c9c4cf65b547dcda627b0159d27fb3fa4cdbbc0c0f541d4a1d17872a93"),

@@ -19,7 +19,14 @@ from nbx import (
     volume,
 )
 
-from _oracles import twin_split_partition
+from _oracles import (
+    all_cube_partitions,
+    sym_distance,
+    sym_lamination,
+    sym_partition,
+    sym_total_lamination,
+    twin_split_partition,
+)
 
 C3 = Family.of(["000", "001", "01*", "1**"])
 FIG_F = Family.of(["001", "101", "*11", "**0"])
@@ -196,6 +203,12 @@ class TestLaminations:
         assert is_total_lamination(canonical(12))
         assert len(calls) == 1
 
+    def test_deep_chain_stays_within_the_recursion_limit(self):
+        # canonical(300) splits at coordinate 1 on each of its 300 levels
+        fam = canonical(300)
+        assert is_total_lamination(fam)
+        assert is_lamination(fam) == 1
+
     def test_all_joker_singleton_is_total(self):
         assert is_total_lamination(Family.of(["***"]))
 
@@ -311,6 +324,63 @@ class TestDiameter:
             diameter(Family.of(["0*", "00"]).members)
         with pytest.raises(ValueError):
             diameter([TernaryString.parse("00"), TernaryString.parse("000")])
+
+
+def _word(text: str) -> TernaryString:
+    return TernaryString.parse(text) if text else TernaryString(0, 0, 0)
+
+
+class TestAgainstTextOracles:
+    """Partitions, laminations and the diameter against the text-level
+    oracles, which expand jokers and drop columns by slicing."""
+
+    @staticmethod
+    def check(words: list[str], d: int) -> None:
+        fam = Family(d, tuple(map(_word, words)))
+        assert is_partition(fam) == sym_partition(words, d), words
+        assert is_lamination(fam) == sym_lamination(words, d), words
+        assert is_total_lamination(fam) == sym_total_lamination(words, d), words
+
+    @pytest.mark.parametrize("d, step, count", [(3, 1, 154), (4, 25, 3_581)])
+    def test_cube_partitions(self, d, step, count):
+        # every partition of the 3-cube, every 25th of the 89,512 of the 4-cube
+        partitions = all_cube_partitions(d)[::step]
+        assert len(partitions) == count
+        for members in partitions:
+            self.check([str(m) for m in members], d)
+
+    def test_random_word_sets(self):
+        rng = random.Random(41)
+        self.check([""], 0)
+        self.check(["0*", "00", "11"], 2)  # full volume, overlapping
+        full_overlaps = 0
+        for d in range(1, 5):
+            partitions = all_cube_partitions(d)
+            for _ in range(300):
+                # a random set, then a partition with one member swapped
+                # for another of the same volume
+                words = ["".join(rng.choice("01*") for _ in range(d))
+                         for _ in range(rng.randint(0, 8))]
+                self.check(list(dict.fromkeys(words)), d)
+                words = [str(m) for m in rng.choice(partitions)]
+                i = rng.randrange(len(words))
+                swap = list(words[i])
+                rng.shuffle(swap)
+                swap = "".join(rng.choice("01") if ch != "*" else ch for ch in swap)
+                if swap not in words[:i] + words[i + 1:]:
+                    words[i] = swap
+                    full_overlaps += not sym_partition(words, d)
+                    self.check(words, d)
+        assert full_overlaps > 100
+
+    def test_diameter(self):
+        rng = random.Random(43)
+        for d in range(0, 7):
+            pool = ["".join(rng.choice("01") for _ in range(d)) for _ in range(6)]
+            for n in [1, 1, 2, 3, 5, 8, 13]:
+                texts = rng.choices(pool, k=n)  # with repeats
+                expected = max(sym_distance(a, b) for a in texts for b in texts)
+                assert diameter(map(_word, texts)) == expected, texts
 
 
 def test_slice_rejects_multicharacter_symbol():
