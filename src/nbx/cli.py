@@ -37,7 +37,7 @@ def _emit_family(fam: families.Family) -> None:
     sys.stdout.write(fam.to_nbx())
 
 
-_BLOCK = 4096  # encoder chunks or violation triples per write
+_BLOCK = 4096  # encoder chunks, violation triples or families per write
 
 
 def _emit_json(data) -> None:
@@ -74,6 +74,24 @@ def _emit_report(report: families.NeighborlinessReport) -> None:
             sys.stdout.write(sep + lead + "".join(parts))
             sep = ",\n"
     sys.stdout.write("\n  ]\n}\n" if sep == ",\n" else head + "[]\n}\n")
+
+
+def _emit_families(k: int, d: int, strings, found) -> None:
+    """``_emit_json`` of the ``--enumerate`` payload for the families
+    ``found`` (tuples of indices into ``strings``), at most ``_BLOCK``
+    families per write.  json.dump puts each member on its own line, so a
+    family's text is its members' texts, looked up in a table and joined
+    in C."""
+    payload = {"k": k, "d": d, "size": len(found[0]), "count": len(found), "families": []}
+    head = json.dumps(payload, indent=2)[:-4]  # cut '[]\n}' after "families"
+    text = ['      "%s"' % w for w in strings]
+    between = "\n    ],\n    [\n"  # ends a family, opens the next
+    sep = head + "[\n    [\n"
+    for start in range(0, len(found), _BLOCK):
+        block = [",\n".join(map(text.__getitem__, idxs)) for idxs in found[start : start + _BLOCK]]
+        sys.stdout.write(sep + between.join(block))
+        sep = between
+    sys.stdout.write("\n    ]\n  ]\n}\n")
 
 
 def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
@@ -254,16 +272,8 @@ def _cmd_search(args) -> int:
         cfg.max_candidates = 1 << 62
     if args.enumerate_all:
         lifted = {"cap": 1 << 62} if args.force else {}
-        fams = search.enumerate_max_families(args.k, args.d, cfg, **lifted)
-        _emit_json(
-            {
-                "k": args.k,
-                "d": args.d,
-                "size": len(fams[0]),
-                "count": len(fams),
-                "families": [f.texts() for f in fams],
-            }
-        )
+        strings, found = search._enumerate_indices(args.k, args.d, cfg, **lifted)
+        _emit_families(args.k, args.d, strings, found)
         return 0
     result = search.max_family(args.k, args.d, cfg)
     _emit_json(result.as_dict())

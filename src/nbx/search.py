@@ -433,8 +433,20 @@ def enumerate_max_families(
     bounds the count of families and ``budget_nodes`` the walk.
     ``budget_secs`` counts from entry: graph build, walk and closure.  The
     list is in text order, as is each family, so it depends only on the set
-    of maximum families and not on how the walk numbers its vertices.
+    of maximum families and not on how the walk numbers its vertices.  The
+    families are built from ``_enumerate_indices``, which ``nbx search
+    --enumerate`` writes from directly.
     """
+    strings, found = _enumerate_indices(k, d, cfg, cap)
+    return [Family(d, tuple(strings[i] for i in idxs)) for idxs in found]
+
+
+def _enumerate_indices(
+    k: int, d: int, cfg: Optional[SearchConfig] = None, cap: int = 100_000
+) -> tuple[list[TernaryString], list[tuple[int, ...]]]:
+    """The enumeration behind ``enumerate_max_families``, as ``(strings,
+    found)``: the candidates in text order, and every maximum family as the
+    sorted tuple of its indices into ``strings``, the tuples sorted too."""
     cfg = cfg or SearchConfig()
     deadline = None if cfg.budget_secs is None else time.monotonic() + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
@@ -456,7 +468,7 @@ def enumerate_max_families(
             raise AssertionError("internal error: enumerated family fails verification")
     if cfg.symmetry:
         found = _close_under_group(found, strings, d, cap, deadline)
-    return [Family(d, tuple(strings[i] for i in idxs)) for idxs in sorted(found)]
+    return strings, sorted(found)
 
 
 def _close_under_group(families, strings, d: int, cap: int, deadline) -> set[tuple[int, ...]]:

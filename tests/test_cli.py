@@ -157,7 +157,7 @@ class TestSearchCommand:
         assert data["families"] == [["00", "01", "10", "11"]]
 
     def test_force_lifts_the_enumeration_cap(self, capsys, monkeypatch):
-        enumerate_all = search.enumerate_max_families
+        enumerate_all = search._enumerate_indices
         default = inspect.signature(enumerate_all).parameters["cap"].default
         caps = []
 
@@ -165,7 +165,7 @@ class TestSearchCommand:
             caps.append(cap)
             return enumerate_all(k, d, cfg, cap)
 
-        monkeypatch.setattr(search, "enumerate_max_families", recording)
+        monkeypatch.setattr(search, "_enumerate_indices", recording)
         assert run(["search", "1", "4", "--enumerate"]) == 0
         plain = out_of(capsys)
         assert run(["search", "1", "4", "--enumerate", "--force"]) == 0
@@ -195,8 +195,8 @@ class TestSearchCommand:
 
     def test_enumeration_cap_refused_without_force(self, capsys, monkeypatch):
         # the 48 maximum (2,4) families exceed a cap of 47
-        enumerate_all = search.enumerate_max_families
-        monkeypatch.setattr(search, "enumerate_max_families",
+        enumerate_all = search._enumerate_indices
+        monkeypatch.setattr(search, "_enumerate_indices",
                             lambda k, d, cfg, cap=47: enumerate_all(k, d, cfg, 47))
         assert run(["search", "2", "4", "--enumerate"]) == 2
         err = capsys.readouterr().err

@@ -1,10 +1,12 @@
 """The JSON writers of the command line, against ``json.dump``.
 
-``nbx verify`` writes its report through ``cli._emit_report`` and every
-other JSON command through ``cli._emit_json``.  Both must print exactly
+``nbx verify`` writes its report through ``cli._emit_report``, ``nbx
+search --enumerate`` its families through ``cli._emit_families``, and every
+other JSON command goes through ``cli._emit_json``.  Each must print exactly
 ``json.dumps(data, indent=2) + "\\n"``, one block at a time (for the
-report, one row or at most ``_BLOCK`` triples of a row), and a closed
-stdout must end the command with exit status 141 and nothing on stderr.
+report, one row or at most ``_BLOCK`` triples of a row; for the families,
+at most ``_BLOCK`` families), and a closed stdout must end the command with
+exit status 141 and nothing on stderr.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbx import Family, SearchConfig, verify_neighborly
-from nbx import biclique, bounds, constructions, search
+from nbx import biclique, bounds, cli, constructions, search
 from nbx.cli import _BLOCK, _emit_json, _emit_report, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,12 +221,60 @@ def test_fragmented_output_is_pinned(capsys):
     (2, 4, 6_695, "755aceb7420b7c0ad7a71315ccd424e2dcff7f80a8d881027c38d9c9f175a19a"),
     (2, 5, 491_594, "c3f77742631bf034511c71966d478b18e843550178e6b70ae1d3f786ace59cec"),
     (3, 5, 812_234, "e03ed3bd9eab3ddef673c2af5b4cdb189f63e3d1a3df430bc622fda5a136fde4"),
+    (1, 5, 8_197_610, "8c0609decfa5beac7ae1bd1d1577c03b90d5b1ab471e730737d51e98859971b4"),
+    (2, 6, 17_454_379, "a2d9bba0a0d191a9499b9da97ee9c5a4242a8de88a00cee89cc643320f07a6ed"),
 ])
 def test_enumerate_output_is_pinned(k, d, size, digest, capsys):
     # every maximum family, in text order at both levels
     assert run(["search", str(k), str(d), "--enumerate"]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (1, 4), (2, 4)])
+def test_enumerate_prints_the_json_of_the_public_enumeration(k, d, capsys):
+    # the command writes from index tuples; the library returns families
+    fams = search.enumerate_max_families(k, d)
+    payload = {"k": k, "d": d, "size": len(fams[0]), "count": len(fams),
+               "families": [f.texts() for f in fams]}
+    assert run(["search", str(k), str(d), "--enumerate"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_enumerate_writes_one_block_of_families_at_a_time(monkeypatch):
+    strings, found = search._enumerate_indices(1, 4)
+    out = RecordingStdout()
+    monkeypatch.setattr(cli, "_BLOCK", 500)
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._emit_families(1, 4, strings, found)
+    # each family opens with "    [\n"; the head and the tail hold no such line
+    assert [w.count("    [\n") for w in out.writes] == [500, 500, 296, 0]
+
+
+def test_enumerate_4_5_output_and_memory(tmp_path):
+    # the 180,480 maximum (4,5) families as 67 MB of JSON.  Built as Family
+    # objects, copied as texts and encoded at once, they took this command
+    # to 387 MB max RSS (CPython 3.11); written from the index tuples, the
+    # closure's tuples are the bulk of it
+    out = tmp_path / "families.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with open(out, "wb") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nbx.cli", "search", "4", "5", "--enumerate", "--force"],
+            cwd=tmp_path, env=env, stdout=fh,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    assert (out.stat().st_size, digest.hexdigest()) == (
+        67_138_636, "4f79bb968691b2a98a083ada4e25979cfb3221eceaacab2d282da671fb899e58")
+    out.unlink()
+    maxrss = usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)  # kB on Linux
+    assert maxrss < 200e6, maxrss
 
 
 @pytest.mark.parametrize("pipeline, size, digest", [
@@ -313,3 +363,5 @@ def test_closed_stdout_ends_quietly(tmp_path):
     # the cover of the 8,192 of length 13 is 1.5 MB
     assert closed_early(["verify", binary_cube(tmp_path, 9), "--k", "1"], tmp_path) == (141, b"")
     assert closed_early(["convert", "to-cover", binary_cube(tmp_path, 13)], tmp_path) == (141, b"")
+    # the 80,368 maximum (1,5) families are 8.2 MB of JSON
+    assert closed_early(["search", "1", "5", "--enumerate"], tmp_path) == (141, b"")
