@@ -124,7 +124,10 @@ def cover_to_family(cover: BicliqueCover) -> Family:
     Two vertices that no biclique separates would yield equal strings; that
     is an error (their edge cannot be covered).  Two vertices in no
     biclique both map to the all-joker word, so the first repeat lies
-    among the first ``len(covered) + 2`` vertices, and only those get words."""
+    among the first ``len(covered) + 2`` vertices, and only those get words.
+    As in family_to_cover, fewer than 2 vertices is an error."""
+    if cover.n < 2:
+        raise ValueError("a covering needs at least 2 vertices")
     covered = set().union(*(left | right for left, right in cover.bicliques))
     members = []
     texts = {}

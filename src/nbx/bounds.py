@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 from .constructions import m_value, mbar_value
+from .families import _check_kd
 
 
 class NoValidSplit(ValueError):
@@ -294,8 +295,3 @@ def pascal_audit(table: list[BoundsEntry]) -> list[PascalFinding]:
                 right = 1 << (d - 1)  # k > d-1: every distinct-string family works
             findings.append(PascalFinding(k, d, cells[(k, d)].lower.value, left + right))
     return findings
-
-
-def _check_kd(k: int, d: int) -> None:
-    if not 1 <= k <= d:
-        raise ValueError(f"requires 1 <= k <= d, got k={k}, d={d}")

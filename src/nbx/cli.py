@@ -133,22 +133,23 @@ def _build_parser() -> argparse.ArgumentParser:
     table_out = argparse.ArgumentParser(add_help=False)  # output format of bounds, table, audit
     table_out.add_argument("--json", action="store_true")
     table_out.add_argument("--tsv", action="store_true")
+    cell = argparse.ArgumentParser(add_help=False)  # the (k, d) of construct, bounds, search, mkd
+    cell.add_argument("k", type=int)
+    cell.add_argument("d", type=int)
+    grid = argparse.ArgumentParser(add_help=False)  # the (k, d) range of table, audit
+    grid.add_argument("--kmax", type=int, default=8)
+    grid.add_argument("--dmax", type=int, default=8)
 
     con = sub.add_parser("construct", help="emit a constructed family as .nbx")
     consub = con.add_subparsers(dest="kind", required=True)
     p = consub.add_parser("canonical", help="chain family of size d+1")
     p.add_argument("d", type=int)
-    p = consub.add_parser("ball", help="Hamming ball family for (k, d)")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
+    consub.add_parser("ball", help="Hamming ball family for (k, d)", parents=[cell])
     p = consub.add_parser("extremal", help="maximum (d-1)-neighborly family")
     p.add_argument("d", type=int)
-    p = consub.add_parser("mbar", help="best fragmented-product family for (k, d)")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
-    p = consub.add_parser("fragmented", help="fragmented construction for a block plan")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
+    consub.add_parser("mbar", help="best fragmented-product family for (k, d)", parents=[cell])
+    p = consub.add_parser("fragmented", help="fragmented construction for a block plan",
+                          parents=[cell])
     p.add_argument("--a", type=_block_lengths,
                    help="comma-separated block lengths, one per block (default: optimal plan)")
     p = consub.add_parser("product", help="concatenation product of two .nbx files")
@@ -159,19 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".nbx file or - for stdin")
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)",
-                       parents=[table_out])
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
+    sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)",
+                   parents=[table_out, cell])
+    sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax",
+                   parents=[table_out, grid])
 
-    p = sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax",
-                       parents=[table_out])
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=8)
-
-    p = sub.add_parser("search", help="exact maximum family search")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
+    p = sub.add_parser("search", help="exact maximum family search", parents=[cell])
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--no-symmetry", action="store_true", help="plain walk: no orbital branching")
@@ -179,9 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="list every maximum family")
     p.add_argument("--force", action="store_true", help="lift the candidate and enumeration caps")
 
-    p = sub.add_parser("mkd", help="fragmented-construction optimum m(k, d)")
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
+    p = sub.add_parser("mkd", help="fragmented-construction optimum m(k, d)", parents=[cell])
     p.add_argument("--mbar", action="store_true", help="optimize over splits of (k, d)")
 
     p = sub.add_parser("convert", help="convert between .nbx and biclique-cover JSON")
@@ -191,10 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q = convsub.add_parser("to-family")
     q.add_argument("file", help="cover JSON file or - for stdin")
 
-    p = sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
-                       parents=[table_out])
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=8)
+    sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
+                   parents=[table_out, grid])
 
     p = sub.add_parser("reduce", help="twin-merge a partition down to the all-joker string")
     p.add_argument("file", help=".nbx file or - for stdin")

@@ -22,12 +22,12 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .families import Family, verify_neighborly
+from .families import Family, _check_kd, verify_neighborly
 from .strings import TernaryString, all_jokers
 
 
-def _checked(family: Family, k: int, expected_size: Optional[int] = None) -> Family:
-    if expected_size is not None and len(family) != expected_size:
+def _checked(family: Family, k: int, expected_size: int) -> Family:
+    if len(family) != expected_size:
         raise AssertionError(f"construction produced {len(family)} members, expected {expected_size}")
     report = verify_neighborly(family, k)
     if not report.is_valid:
@@ -200,8 +200,7 @@ def _balanced_split(total: int, parts: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _m_value_cached(k: int, d: int) -> MValueResult:
-    if not 1 <= k <= d:
-        raise ValueError("no feasible plan: requires 1 <= k <= d")
+    _check_kd(k, d)
     best: Optional[tuple[int, FragmentPlan]] = None
     m = k
     while comb(m, k) + m - 1 <= d:
@@ -254,8 +253,7 @@ def _mbar_cached(k: int, d: int) -> tuple[int, tuple[FragmentPlan, ...]]:
 def mbar_value(k: int, d: int) -> MValueResult:
     """Best product of fragmented sizes over all splits k = sum k_i,
     d = sum d_i with k_i <= d_i, by dynamic programming over the parts."""
-    if not 1 <= k <= d:
-        raise ValueError("requires 1 <= k <= d")
+    _check_kd(k, d)
     value, parts = _mbar_cached(k, d)
     return MValueResult(value, parts=parts)
 

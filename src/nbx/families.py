@@ -296,6 +296,11 @@ class NeighborlinessReport:
         }
 
 
+def _check_kd(k: int, d: int) -> None:
+    if not 1 <= k <= d:
+        raise ValueError(f"requires 1 <= k <= d, got k={k}, d={d}")
+
+
 def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     """Check that every pairwise distance lies in [1, k].
 
@@ -308,8 +313,7 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     """
     if len(family) < 1:
         raise ValueError("family must have at least one member")
-    if not 1 <= k <= family.dimension:
-        raise ValueError(f"k must be in 1..{family.dimension}")
+    _check_kd(k, family.dimension)
     zs = [m.zero_mask for m in family.members]
     os_ = [m.one_mask for m in family.members]
     full = (1 << len(zs)) - 1

@@ -48,7 +48,7 @@ from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _above, _distance_rows, _nonzero, verify_neighborly
+from .families import Family, _above, _check_kd, _distance_rows, _nonzero, verify_neighborly
 from .strings import TernaryString, all_strings
 
 
@@ -111,13 +111,8 @@ class SearchResult:
 def enumerate_candidates(k: int, d: int) -> list[TernaryString]:
     """All strings that can appear in a maximum k-neighborly family:
     those with at most d-k jokers, in text order."""
-    if not 1 <= k <= d:
-        raise ValueError("requires 1 <= k <= d")
-    return _candidates(d, d - k)
-
-
-def _candidates(d: int, limit: int) -> list[TernaryString]:
-    return sorted((s for s in all_strings(d) if s.jokers <= limit), key=str)
+    _check_kd(k, d)
+    return sorted((s for s in all_strings(d) if s.jokers <= d - k), key=str)
 
 
 class _Stop(Exception):
@@ -366,15 +361,14 @@ def _build_graph(strings: list[TernaryString], k: int, deadline=None):
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
     """Candidates for (k, d), under the capacity guard, which counts them
     (C(d, j)·2^(d-j) with j jokers) before any is built."""
-    if not 1 <= k <= d:
-        raise ValueError("requires 1 <= k <= d")
+    _check_kd(k, d)
     n = sum(comb(d, j) << d - j for j in range(d - k + 1))
     if n > cfg.max_candidates:
         raise CapacityExceeded(
             f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
             f" capacity {cfg.max_candidates}"
         )
-    return _candidates(d, d - k)
+    return enumerate_candidates(k, d)
 
 
 def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:

@@ -115,6 +115,13 @@ class TestCoverToFamily:
         assert not report.is_valid
         assert (1, 2, 0) in report.violations
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_rejected(self, n):
+        # as in family_to_cover: a family of 0 or 1 members has no .nbx text
+        # that Family.from_nbx reads back
+        with pytest.raises(ValueError, match="^a covering needs at least 2 vertices$"):
+            cover_to_family(BicliqueCover.from_dict({"n": n, "bicliques": []}))
+
     def test_repeated_word_found_among_the_first_vertices(self):
         # two vertices in no biclique share the all-joker word, so only the
         # first len(covered) + 2 vertices need words, not all 10**6

@@ -250,10 +250,15 @@ class TestConvert:
             ('{"n": 2, "bicliques": [{"L": [0], "R": [1]}, {"L": 0, "R": [1]}]}', "biclique 2: 'L'"),
             ('{"n": 2, "bicliques": [{"L": [0], "R": ["x"]}]}', "biclique 1: 'R'"),
             ('{"n": 2, "bicliques": [{"L": [0.0], "R": [1]}]}', "biclique 1: 'L'"),
+            # no .nbx text reads back as 0 or 1 member
+            ('{"n": 0, "bicliques": []}', "at least 2 vertices"),
+            ('{"n": 1, "bicliques": []}', "at least 2 vertices"),
         ]:
             f.write_text(text)
             assert run(["convert", "to-family", str(f)]) == 2, text
-            err = capsys.readouterr().err.splitlines()
+            out, err = capsys.readouterr()
+            assert out == "", text
+            err = err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], (text, err)
 
     def test_oversized_cover_is_a_usage_error(self, capsys, tmp_path):
@@ -311,6 +316,23 @@ class TestUsage:
 
     def test_no_command(self):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv, k, d", [
+        ("search 0 3", 0, 3),
+        ("search 4 3 --enumerate", 4, 3),
+        ("mkd 0 5", 0, 5),
+        ("mkd 6 5 --mbar", 6, 5),
+        ("bounds 4 3", 4, 3),
+        ("construct mbar 0 4", 0, 4),
+        ("construct fragmented 0 4", 0, 4),
+        ("verify FILE --k 9", 9, 2),
+    ])
+    def test_cell_out_of_range(self, capsys, tmp_path, argv, k, d):
+        # every command names the bad cell in the same one error line
+        f = tmp_path / "c.nbx"
+        f.write_text("00\n01\n")
+        assert run(argv.replace("FILE", str(f)).split()) == 2
+        assert capsys.readouterr() == ("", f"error: requires 1 <= k <= d, got k={k}, d={d}\n")
 
 
 class TestConstructVerifyPipeline:

@@ -6,13 +6,19 @@ import pytest
 from nbx import (
     Family,
     TernaryString,
+    best_bounds,
     canonical,
     diameter,
+    enumerate_candidates,
+    enumerate_max_families,
     families,
     is_lamination,
     is_partition,
     is_total_lamination,
+    m_value,
+    max_family,
     max_joker_ok,
+    mbar_value,
     reduce_to_trivial,
     sgn_sum,
     verify_neighborly,
@@ -153,6 +159,21 @@ class TestVerifyNeighborly:
             k = max(verify_neighborly(fam, 5).max_distance or 1, 1)
             assert volume(fam) <= 1 << fam.dimension
 
+
+
+@pytest.mark.parametrize("check, k, d", [
+    (lambda k, d: verify_neighborly(Family.of(["0" * d]), k), 0, 3),
+    (m_value, 4, 3),
+    (mbar_value, 0, 5),
+    (enumerate_candidates, 6, 5),
+    (max_family, 0, 3),
+    (enumerate_max_families, 4, 3),
+    (best_bounds, 3, 2),
+])
+def test_cell_out_of_range_named(check, k, d):
+    # one range check for every public function of a (k, d) cell
+    with pytest.raises(ValueError, match=f"^requires 1 <= k <= d, got k={k}, d={d}$"):
+        check(k, d)
 
 class TestVolumePartition:
     def test_volume_examples(self):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from nbx import (
     BicliqueCover,
     Family,
+    all_strings,
     diameter,
     extremal_dminus1,
     is_partition,
@@ -28,7 +29,7 @@ from nbx import (
 )
 from nbx.cli import _BLOCK
 from nbx.families import _above, _distance_rows, _nonzero
-from nbx.search import _build_graph, _candidates
+from nbx.search import _build_graph
 
 from _oracles import all_cube_partitions, cover_report, sym_distance, twin_split_partition
 
@@ -238,9 +239,10 @@ def test_diameter(words):
 
 
 def test_build_graph():
-    # the build's input is a candidate set, closed under the cube group
+    # the build's input is a candidate set, closed under the cube group;
+    # limit = d, the set of every word, is the candidate set of no k
     for d, limit in [(d, limit) for d in range(1, 6) for limit in range(d + 1)]:
-        strings = _candidates(d, limit)
+        strings = sorted((s for s in all_strings(d) if s.jokers <= limit), key=str)
         words = [str(s) for s in strings]
         dist = oracle_distances(words)
         n = len(words)
