@@ -23,10 +23,10 @@ Rows come in prefix-trie order (the members sorted by their words,
 coordinate 0 first), and each row restarts from the counter of the
 longest prefix it shares with the previous one, so a structured family
 pays for each distinct prefix once.  The counters are shared between
-rows and read-only to callers.  Comparisons on the counter (``_nonzero``,
-``_above``, ``_max_in``, ``_min_in``, ``_by_distance``) give the
-distance-0 columns, the columns beyond k, the extreme distances, and the
-columns split by exact distance.
+rows and read-only to callers.  Comparisons on the counter (``_outside``,
+``_max_in``, ``_min_in``, ``_by_distance``) give the columns outside the
+window [1, k], the extreme distances, and the columns split by exact
+distance.
 
 A failing check keeps its violating pairs as one column mask per row, a
 ``Violations``, read by iteration and ``len``.  It expands a row into its
@@ -174,17 +174,10 @@ def _distance_rows(zero_masks: list[int], one_masks: list[int], d: int) -> Itera
         yield i, stack[d]
 
 
-def _nonzero(count: list[int]) -> int:
-    """Columns of a counter at distance at least 1."""
-    out = 0
-    for s in count:
-        out |= s
-    return out
-
-
-def _above(count: list[int], k: int, full: int) -> int:
-    """Columns of a counter at distance greater than k, within ``full``."""
-    gt, eq = 0, full
+def _outside(count: list[int], k: int, cols: int) -> int:
+    """Columns of ``cols`` at distance 0 or greater than k: outside the
+    k-neighborly window [1, k]."""
+    gt, eq = 0, cols
     for b in range(len(count) - 1, -1, -1):
         s = count[b]
         if k >> b & 1:
@@ -194,7 +187,7 @@ def _above(count: list[int], k: int, full: int) -> int:
             eq &= ~s
         if not eq:
             break
-    return gt
+    return gt | cols & ~reduce(int.__or__, count, 0)
 
 
 def _max_in(count: list[int], mask: int) -> int:
@@ -323,16 +316,14 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
         upper = full >> (i + 1) << (i + 1)
         if not upper:
             continue
-        bad = upper & ~_nonzero(count)
-        far = _above(count, k, upper)
-        if bad:
-            lo = 0
-        elif lo > 1:
+        out = _outside(count, k, upper)
+        # a row inside [1, k] cannot take lo below 1 or hi above k
+        if lo > 1 or lo and out:
             lo = min(lo, _min_in(count, upper))
-        if hi < k or far:  # once hi >= k, only the columns beyond k can raise it
-            hi = max(hi, _max_in(count, upper if hi < k else far))
-        if bad | far:
-            rows.append((i, bad | far))
+        if hi < k or out:
+            hi = max(hi, _max_in(count, upper))
+        if out:
+            rows.append((i, out))
     if len(zs) == 1:
         lo = hi = None
     return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_, family.dimension))

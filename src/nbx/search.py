@@ -48,7 +48,7 @@ from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _above, _check_kd, _distance_rows, _nonzero, verify_neighborly
+from .families import Family, _check_kd, _distance_rows, _outside, verify_neighborly
 from .strings import TernaryString, all_strings
 
 
@@ -337,7 +337,7 @@ def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list
     for i, count in _distance_rows(zs, os_, strings[0].length):
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop("time-budget")
-        rows[i] = (full & ~_nonzero(count) | _above(count, k, full)) ^ 1 << i
+        rows[i] = _outside(count, k, full) ^ 1 << i
     return rows
 
 
@@ -382,22 +382,27 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
-    # what a graph build stopped by the time budget leaves
+    # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
+    seed = realize_mbar(k, d).members if cfg.use_known_bounds else ()
+    # what a graph build stopped by the time budget leaves: the seed, in text order
     order, engine = [], _Engine([], [], 1 << d, cutoff, None, None)
+    engine.best = len(seed)
+    members = tuple(sorted(seed, key=str))
     stopped = "complete"
     try:
         order, nadj, vols, words = _build_graph(strings, k, deadline)
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline,
                          words if cfg.symmetry else None)
-        if cfg.use_known_bounds:
-            # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
+        if seed:
             vertex_of = {w: v for v, w in enumerate(words)}
-            engine._improve([vertex_of[m.zero_mask, m.one_mask] for m in realize_mbar(k, d)])
+            engine._improve([vertex_of[m.zero_mask, m.one_mask] for m in seed])
         engine.run()
     except _Stop as exc:
         stopped = exc.reason
 
-    witness = Family(d, tuple(strings[i] for i in sorted(order[v] for v in engine.witness)))
+    if order:
+        members = tuple(strings[i] for i in sorted(order[v] for v in engine.witness))
+    witness = Family(d, members)
     if len(witness) and not verify_neighborly(witness, k).is_valid:
         raise AssertionError("internal error: witness fails verification")
     proven = stopped in ("complete", "cutoff")
@@ -497,25 +502,14 @@ def _close_under_group(families, strings, d: int, cap: int, deadline) -> set[tup
 
 def verify_certificate(result: SearchResult) -> bool:
     """Re-check a search result from its raw members, independently of the
-    search internals: size, distinctness, and pairwise distances.  A witness
-    that is not an iterable of ternary strings of length d is rejected."""
+    search graph and walk: ``Family`` checks their lengths and distinctness,
+    ``verify_neighborly`` their pairwise distances.  A witness that is not an
+    iterable of ternary strings, or a k outside 1..d, is rejected."""
     try:
-        members = list(result.witness)
-    except TypeError:
-        return False
-    if len(members) != result.optimum or not members:
-        return False
-    seen = set()
-    for m in members:
-        if not isinstance(m, TernaryString) or m.length != result.d:
+        members = tuple(result.witness)
+        if not all(isinstance(m, TernaryString) for m in members):
             return False
-        key = (m.zero_mask, m.one_mask)
-        if key in seen:
-            return False
-        seen.add(key)
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            dist = ((x.zero_mask & y.one_mask) | (x.one_mask & y.zero_mask)).bit_count()
-            if dist == 0 or dist > result.k:
-                return False
-    return True
+        family = Family(result.d, members)
+        return len(family) == result.optimum >= 1 and verify_neighborly(family, result.k).is_valid
+    except (TypeError, ValueError):
+        return False

@@ -28,7 +28,7 @@ from nbx import (
     verify_neighborly,
 )
 from nbx.cli import _BLOCK
-from nbx.families import _above, _distance_rows, _nonzero
+from nbx.families import _distance_rows, _outside
 from nbx.search import _build_graph
 
 from _oracles import all_cube_partitions, cover_report, sym_distance, twin_split_partition
@@ -59,6 +59,12 @@ def random_families(draw, binary: bool = False):
     return random_words(random.Random(seed), n, d, joker_rate, binary)
 
 
+@st.composite
+def families_and_k(draw):
+    words = draw(random_families())
+    return words, draw(st.integers(1, len(words[0])))
+
+
 def oracle_distances(words: list[str]) -> list[list[int]]:
     n = len(words)
     dist = [[0] * n for _ in range(n)]
@@ -87,9 +93,9 @@ def test_counter_columns_and_every_k(words):
         assert len(count) == d.bit_length()
         for j in range(n):
             assert sum((s >> j & 1) << b for b, s in enumerate(count)) == dist[i][j]
-        assert _nonzero(count) == as_mask(j for j in range(n) if dist[i][j])
         for k in range(1, d + 1):
-            assert _above(count, k, full) == as_mask(j for j in range(n) if dist[i][j] > k)
+            assert _outside(count, k, full) == as_mask(j for j in range(n)
+                                                       if not 1 <= dist[i][j] <= k)
     assert sorted(seen) == list(range(n))
 
 
@@ -129,10 +135,15 @@ def test_rows_of_one_member_and_of_length_one():
 
 
 @KERNEL
-@given(random_families(), st.data())
-def test_verify_neighborly(words, data):
+@given(families_and_k())
+# rows run in prefix-trie order, 00 first: its minimum is 1, and the one
+# pair at distance 0, 1* and 11, lies in a later row
+@example((["00", "01", "1*", "11"], 2))
+# row 000 takes the maximum to k = 1; the later row 111 holds only 3 and 2
+@example((["111", "000", "001"], 1))
+def test_verify_neighborly(words_and_k):
+    words, k = words_and_k
     fam = Family.of(words)
-    k = data.draw(st.integers(1, fam.dimension))
     dist = oracle_distances(words)
     pairs = [(i, j, dist[i][j]) for i in range(len(words)) for j in range(i + 1, len(words))]
     report = verify_neighborly(fam, k)
@@ -198,12 +209,6 @@ def oracle_rows(words: list[str], bad) -> list[tuple[int, list[int], list[int]]]
         if pairs:
             rows.append((i, [j for j, _ in pairs], [x for _, x in pairs]))
     return rows
-
-
-@st.composite
-def families_and_k(draw):
-    words = draw(random_families())
-    return words, draw(st.integers(1, len(words[0])))
 
 
 @KERNEL

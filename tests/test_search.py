@@ -308,7 +308,9 @@ class TestMaxFamily:
         reads[0] = 0
         result = max_family(2, 5, cfg)
         assert result.stats["stopped"] == "time-budget"
-        assert (result.stats["nodes"], result.optimum, result.proven_optimal) == (0, 0, False)
+        # the verified seed is still the result: realize_mbar(2, 5) has 12 members
+        assert (result.stats["nodes"], result.optimum, result.proven_optimal) == (0, 12, False)
+        assert verify_certificate(result)
         reads[0] = 0
         with pytest.raises(EnumerationIncomplete, match="not proven"):
             enumerate_max_families(2, 5, cfg)
@@ -673,6 +675,12 @@ class TestVerifyCertificate:
         result = max_family(2, 3)
         tampered = replace(result, d=4)
         assert not verify_certificate(tampered)
+
+    def test_rejects_k_outside_1_to_d(self):
+        # every distance is at most d, so k = d + 1 would accept any family
+        result = max_family(2, 3)
+        assert not verify_certificate(replace(result, k=0))
+        assert not verify_certificate(replace(result, k=4))
 
 
 class TestIndependentOracle:
