@@ -10,8 +10,8 @@ splitting (k, d) into parts.  The block lengths are always the balanced
 split of the coordinate budget: the fragmented size is Schur-concave in
 them, so no uneven split is larger.
 
-Every output is verified against its advertised neighborliness and size
-at construction time.
+Every public builder verifies its output's neighborliness and size; the
+chain words inside a fragmented family are checked through its union.
 """
 
 from __future__ import annotations
@@ -36,17 +36,28 @@ def _checked(family: Family, k: int, expected_size: int) -> Family:
     return family
 
 
+def _chain(d: int) -> list[TernaryString]:
+    """The chain words of length d from their masks: 0^d, then 0^j 1 *^(d-j-1)
+    for j = d-1 down to 0.  At d = 0 the empty word."""
+    return [TernaryString(d, (1 << j) - 1, 1 << j if j < d else 0) for j in range(d, -1, -1)]
+
+
+def _concat(words) -> TernaryString:
+    """One word from a run of words, the first in the lowest coordinates."""
+    length = zeros = ones = 0
+    for w in words:
+        zeros |= w.zero_mask << length
+        ones |= w.one_mask << length
+        length += w.length
+    return TernaryString(length, zeros, ones)
+
+
 def canonical(d: int) -> Family:
-    """The chain family of size d+1: each new dimension prepends 0 to the
-    previous members and adds the string 1**...*."""
+    """The chain family of size d+1: 0^d and, for each coordinate i, the
+    word of i-1 zeros, a 1 and d-i jokers."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    members = [TernaryString.parse("0"), TernaryString.parse("1")]
-    zero = TernaryString.parse("0")
-    for length in range(2, d + 1):
-        members = [zero + m for m in members]
-        members.append(TernaryString(length, 0, 1))  # 1 followed by jokers
-    return _checked(Family(d, tuple(members)), 1, d + 1)
+    return _checked(Family(d, tuple(_chain(d))), 1, d + 1)
 
 
 def ball_family(k: int, d: int) -> Family:
@@ -124,24 +135,19 @@ def fragmented_parts(plan: FragmentPlan) -> list[tuple[tuple[int, ...], Family]]
     """The per-subset subfamilies of the fragmented construction.
 
     For each k-subset B of [m] (in colex order) the blocks indexed by B are
-    filled with a chain family and the rest with jokers; a per-B prefix
-    string keeps strings from different subsets at distance >= 1.
+    filled with chain words and the rest with jokers; a per-B prefix from
+    the chain of length C(m, k) - 1 keeps strings from different subsets
+    at distance >= 1.
     """
     subsets = _colex_subsets(plan.m, plan.k)
-    n_subsets = comb(plan.m, plan.k)
-    if n_subsets > 1:
-        prefixes = canonical(n_subsets - 1).members
-    else:
-        prefixes = (TernaryString(0, 0, 0),)
-    blocks = [canonical(length) for length in plan.a]
+    prefixes = _chain(len(subsets) - 1)
+    blocks = [_chain(length) for length in plan.a]
     parts = []
     for prefix, subset in zip(prefixes, subsets):
-        fam = Family(0, (TernaryString(0, 0, 0),))
-        for i, block in enumerate(blocks, start=1):
-            piece = block if i in subset else Family(block.dimension, (all_jokers(block.dimension),))
-            fam = product(fam, piece)
-        fam = Family(plan.d, tuple(prefix + member for member in fam.members))
-        parts.append((subset, fam))
+        pieces = [block if i in subset else (all_jokers(a),)
+                  for i, (a, block) in enumerate(zip(plan.a, blocks), start=1)]
+        members = tuple(_concat((prefix, *words)) for words in itertools.product(*pieces))
+        parts.append((subset, Family(plan.d, members)))
     return parts
 
 
@@ -262,8 +268,5 @@ def realize_mbar(k: int, d: int) -> Family:
     """A concrete k-neighborly family in dimension d whose size is
     mbar_value(k, d); the product of the witness parts, verified."""
     result = mbar_value(k, d)
-    fam: Optional[Family] = None
-    for plan in result.parts:
-        piece = fragmented(plan)
-        fam = piece if fam is None else product(fam, piece)
-    return _checked(fam, k, result.value)
+    pieces = [fragmented(plan).members for plan in result.parts]
+    return _checked(Family(d, tuple(map(_concat, itertools.product(*pieces)))), k, result.value)

@@ -384,12 +384,15 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
     # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
     seed = realize_mbar(k, d).members if cfg.use_known_bounds else ()
-    # what a graph build stopped by the time budget leaves: the seed, in text order
+    # what a seed at the cutoff, or a graph build stopped by the time budget,
+    # leaves: the seed, in text order
     order, engine = [], _Engine([], [], 1 << d, cutoff, None, None)
     engine.best = len(seed)
     members = tuple(sorted(seed, key=str))
     stopped = "complete"
     try:
+        if engine.best >= cutoff:  # proven without a graph
+            raise _Stop("cutoff")
         order, nadj, vols, words = _build_graph(strings, k, deadline)
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline,
                          words if cfg.symmetry else None)

@@ -277,6 +277,26 @@ def test_enumerate_4_5_output_and_memory(tmp_path):
     assert maxrss < 200e6, maxrss
 
 
+def test_search_seed_at_the_cutoff_is_small(tmp_path):
+    # n(1, 10) = 11 is the seed's size and the closed-form bound, so no
+    # graph is built; building the 59,048-candidate graph first took this
+    # command to 483 MB max RSS (CPython 3.11).  A child exec'd straight
+    # from this process inherits its high-water RSS, so a small launcher
+    # runs the command and reports the command's own max RSS on stderr
+    launch = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-m", "nbx.cli", "search", "1", "10"],
+        cwd=tmp_path, env=env, capture_output=True, check=True,
+    )
+    data = json.loads(proc.stdout)
+    assert (data["optimum"], data["proven_optimal"]) == (11, True)
+    assert (data["stats"]["nodes"], data["stats"]["stopped"]) == (0, "cutoff")
+    maxrss = int(proc.stderr) * (1 if sys.platform == "darwin" else 1024)  # kB on Linux
+    assert maxrss < 100e6, maxrss
+
+
 @pytest.mark.parametrize("pipeline, size, digest", [
     (["construct canonical 6"], 49,
      "0e85da37d4abd89b97f5ff49a3197f71190cf4e81602c7b1085d0c28ccbec00b"),
@@ -299,9 +319,16 @@ def test_enumerate_4_5_output_and_memory(tmp_path):
      "5c45a607a0981d0428503ff9f1fefe66d2dbef4a4c0660493157ff5821d9d82a"),
     (["mkd 3 10"], 69,
      "d1d14626169706b284c268a94e4568210527b7ed23b2350c43d1339ef14ea12f"),
+    (["construct canonical 2000"], 4_004_001,
+     "caf750b8be39309263093ec7a371db3f1a3ce14b67e9eb1156f4690582b966af"),
+    # C(3, 3) = 1 subset: an empty prefix; m = 4 at (3, 20): 4 subsets, prefixes of length 3
+    (["construct fragmented 3 3"], 32,
+     "74c691ad79435c1b63bc666b42ae131acd2d5e2b9e80eafcb728b9df5831125d"),
+    (["construct fragmented 3 20"], 12_075,
+     "07b07820f6565416ed69f7fa596b550f11fd4dc4abd4606526938fefed50ce88"),
 ], ids=["canonical-6", "ball-3-7", "extremal-13", "mbar-4-16", "reduce-canonical-6",
         "reduce-extremal-5", "to-cover-extremal-8", "to-family-extremal-8", "mkd-4-40-mbar",
-        "mkd-3-10"])
+        "mkd-3-10", "canonical-2000", "fragmented-3-3", "fragmented-3-20"])
 def test_pipeline_output_is_pinned(pipeline, size, digest, monkeypatch, capsys):
     # each command reads the output of the one before it on stdin
     out = ""

@@ -200,6 +200,22 @@ class TestMaxFamily:
             assert result.stats["nodes"] == 0
             assert result.proven_optimal
 
+    def test_seed_at_the_cutoff_builds_no_graph(self, monkeypatch):
+        # the k = 1, d - 1 and d cells are exactly those whose seed meets the
+        # closed-form bound, so each is proven before any graph is built
+        def no_graph(*args):
+            raise AssertionError("graph built for a cell the seed already proves")
+
+        monkeypatch.setattr(search, "_build_graph", no_graph)
+        for d in range(1, 10):
+            for k in sorted({1, max(d - 1, 1), d}):
+                result = max_family(k, d)
+                assert result.proven_optimal, (k, d)
+                assert (result.stats["nodes"], result.stats["stopped"]) == (0, "cutoff")
+                assert result.optimum == len(result.witness) == result.stats["upper_cutoff"]
+                assert result.witness.texts() == sorted(result.witness.texts())
+                assert result.stats["candidates"] == candidate_count(k, d)
+
     def test_raw_engine_reproduces_values(self):
         # no warm start, no closed-form cutoff: the search itself must
         # rediscover and prove every value

@@ -52,6 +52,61 @@ class TestParseFormat:
             TernaryString.from_coords(3, zeros=[4])
 
 
+def _ref_parse(text):
+    """Per-symbol reference for TernaryString.parse: (length, zeros, ones)."""
+    zeros = ones = 0
+    for pos, ch in enumerate(text):
+        if ch == "0":
+            zeros |= 1 << pos
+        elif ch == "1":
+            ones |= 1 << pos
+        elif ch != "*":
+            raise ValueError(f"illegal character {ch!r} at position {pos + 1}")
+    return len(text), zeros, ones
+
+
+def _ref_str(s):
+    """Per-symbol reference for str(TernaryString)."""
+    return "".join(
+        "0" if s.zero_mask >> pos & 1 else "1" if s.one_mask >> pos & 1 else "*"
+        for pos in range(s.length)
+    )
+
+
+class TestTextCodec:
+    @pytest.mark.parametrize("length", [*range(1, 41), 300, 5_000])
+    def test_matches_per_symbol_reference(self, length):
+        # random words, and the three uniform ones (all jokers is all 0 digits)
+        rng = random.Random(length)
+        texts = [ch * length for ch in "01*"]
+        texts += ["".join(rng.choice("01*") for _ in range(length))
+                  for _ in range(20 if length <= 300 else 3)]
+        for text in texts:
+            s = parse(text)
+            assert (s.length, s.zero_mask, s.one_mask) == _ref_parse(text)
+            assert str(s) == _ref_str(s) == text
+
+    def test_empty_word_prints_empty(self):
+        assert str(TernaryString(0, 0, 0)) == ""
+
+    @pytest.mark.parametrize("ch", ["_", " ", "\n", "\t", "2", "x", "\u00e9"])
+    def test_illegal_character_message(self, ch):
+        for pos in (0, 4, 9):
+            text = "01*01*01*0"
+            text = text[:pos] + ch + text[pos + 1:]
+            with pytest.raises(ValueError) as exc:
+                _ref_parse(text)
+            with pytest.raises(ValueError) as got:
+                parse(text)
+            assert str(got.value) == str(exc.value) == f"illegal character {ch!r} at position {pos + 1}"
+
+    def test_first_illegal_character_is_named(self):
+        with pytest.raises(ValueError, match=r"^illegal character 'x' at position 2$"):
+            parse("0x1 x")
+        with pytest.raises(ValueError, match=r"^illegal character ' ' at position 1$"):
+            parse(" 01_")
+
+
 class TestDistance:
     def test_identity(self):
         for text in ["000", "01*", "***"]:
