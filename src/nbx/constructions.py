@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Optional
 
@@ -268,5 +268,4 @@ def realize_mbar(k: int, d: int) -> Family:
     """A concrete k-neighborly family in dimension d whose size is
     mbar_value(k, d); the product of the witness parts, verified."""
     result = mbar_value(k, d)
-    pieces = [fragmented(plan).members for plan in result.parts]
-    return _checked(Family(d, tuple(map(_concat, itertools.product(*pieces)))), k, result.value)
+    return _checked(reduce(product, map(fragmented, result.parts)), k, result.value)

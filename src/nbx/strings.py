@@ -9,8 +9,7 @@ joker positions are implicit.  With that layout the distance between two
 strings -- the number of coordinates where one has 0 and the other 1 --
 is two mask intersections and a popcount, which is the hot path of the
 exact search.  Masks are plain Python integers, so any length works and
-all counts stay exact.  Text and masks convert in one C-level pass each
-way (``str.translate`` and ``int`` in base 2 or 16, which has no digit limit).
+all counts stay exact.
 
 Coordinates are 1-based in every public interface (bit i-1 of a mask
 corresponds to coordinate i).
@@ -22,10 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 SYMBOLS = "01*"
-_DELETE_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
-_ZERO_BITS = str.maketrans(SYMBOLS, "100")
-_ONE_BITS = str.maketrans(SYMBOLS, "010")
-_FROM_DIGITS = str.maketrans("012", "*01")
 
 
 def _mask_from_coords(length: int, coords) -> int:
@@ -71,12 +66,15 @@ class TernaryString:
         """Parse a word like ``"01*"``; inverse of ``str``."""
         if not text:
             raise ValueError("empty string")
-        illegal = text.translate(_DELETE_SYMBOLS)
-        if illegal:  # checked first: int() would take "_" and surrounding whitespace
-            ch = illegal[0]
-            raise ValueError(f"illegal character {ch!r} at position {text.index(ch) + 1}")
-        digits = text[::-1]
-        return cls(len(text), int(digits.translate(_ZERO_BITS), 2), int(digits.translate(_ONE_BITS), 2))
+        zeros = ones = 0
+        for pos, ch in enumerate(text):
+            if ch == "0":
+                zeros |= 1 << pos
+            elif ch == "1":
+                ones |= 1 << pos
+            elif ch != "*":
+                raise ValueError(f"illegal character {ch!r} at position {pos + 1}")
+        return cls(len(text), zeros, ones)
 
     @classmethod
     def from_coords(cls, length: int, zeros=(), ones=()) -> "TernaryString":
@@ -86,10 +84,16 @@ class TernaryString:
     # -- presentation ------------------------------------------------
 
     def __str__(self) -> str:
-        # one hex digit per coordinate (0 joker, 1 zero, 2 one) under a
-        # sentinel digit at position length, then reversed and translated
-        digits = int(f"{self.zero_mask:b}", 16) + 2 * int(f"{self.one_mask:b}", 16)
-        return f"{digits + (1 << 4 * self.length):x}"[:0:-1].translate(_FROM_DIGITS)
+        out = []
+        for pos in range(self.length):
+            bit = 1 << pos
+            if self.zero_mask & bit:
+                out.append("0")
+            elif self.one_mask & bit:
+                out.append("1")
+            else:
+                out.append("*")
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"TernaryString({str(self)!r})"
@@ -135,8 +139,12 @@ class TernaryString:
         """Symbol at 1-based coordinate i."""
         if not 1 <= i <= self.length:
             raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        c = i - 1  # the digit __str__ writes for it: 0 joker, 1 zero, 2 one
-        return "*01"[(self.zero_mask >> c & 1) + 2 * (self.one_mask >> c & 1)]
+        bit = 1 << (i - 1)
+        if self.zero_mask & bit:
+            return "0"
+        if self.one_mask & bit:
+            return "1"
+        return "*"
 
     # -- distances ----------------------------------------------------
 

@@ -76,7 +76,7 @@ def _ref_str(s):
 class TestTextCodec:
     @pytest.mark.parametrize("length", [*range(1, 41), 300, 5_000])
     def test_matches_per_symbol_reference(self, length):
-        # random words, and the three uniform ones (all jokers is all 0 digits)
+        # random words, and the three uniform ones
         rng = random.Random(length)
         texts = [ch * length for ch in "01*"]
         texts += ["".join(rng.choice("01*") for _ in range(length))
