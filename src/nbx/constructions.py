@@ -42,16 +42,6 @@ def _chain(d: int) -> list[TernaryString]:
     return [TernaryString(d, (1 << j) - 1, 1 << j if j < d else 0) for j in range(d, -1, -1)]
 
 
-def _concat(words) -> TernaryString:
-    """One word from a run of words, the first in the lowest coordinates."""
-    length = zeros = ones = 0
-    for w in words:
-        zeros |= w.zero_mask << length
-        ones |= w.one_mask << length
-        length += w.length
-    return TernaryString(length, zeros, ones)
-
-
 def canonical(d: int) -> Family:
     """The chain family of size d+1: 0^d and, for each coordinate i, the
     word of i-1 zeros, a 1 and d-i jokers."""
@@ -146,7 +136,7 @@ def fragmented_parts(plan: FragmentPlan) -> list[tuple[tuple[int, ...], Family]]
     for prefix, subset in zip(prefixes, subsets):
         pieces = [block if i in subset else (all_jokers(a),)
                   for i, (a, block) in enumerate(zip(plan.a, blocks), start=1)]
-        members = tuple(_concat((prefix, *words)) for words in itertools.product(*pieces))
+        members = tuple(prefix.concat(*words) for words in itertools.product(*pieces))
         parts.append((subset, Family(plan.d, members)))
     return parts
 

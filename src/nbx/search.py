@@ -327,35 +327,29 @@ class _Enumerator(_Engine):
             raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
 
 
-def _non_neighbours(strings: list[TernaryString], k: int, deadline=None) -> list[int]:
-    """Each string's closed non-neighbourhood row, in index order: the other
-    strings at distance 0 or above k.  A ``deadline`` is checked per row."""
-    full = (1 << len(strings)) - 1
-    zs = [s.zero_mask for s in strings]
-    os_ = [s.one_mask for s in strings]
-    rows = [0] * len(strings)
-    for i, count in _distance_rows(zs, os_, strings[0].length):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Stop("time-budget")
-        rows[i] = _outside(count, k, full) ^ 1 << i
-    return rows
-
-
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
     """Everything the walk reads, as ``(order, nadj, vols, words)``: walk
     vertex v is ``strings[order[v]]``, by degree desc (fewest non-neighbours
     first), jokers asc, then place in ``strings``, and the rest hold in walk
-    order its closed non-neighbourhood row, subcube volume and (zero_mask,
-    one_mask).  The set is closed under the cube group, which keeps distances
-    and maps a string onto every other with its joker count, so a row's size
-    depends on that alone."""
+    order its closed non-neighbourhood row (the others at distance 0 or above
+    k, from one ``_distance_rows`` pass that checks ``deadline`` per row),
+    subcube volume and (zero_mask, one_mask).  The set is closed under the
+    cube group, which keeps distances and maps a string onto every other with
+    its joker count, so a row's size depends on that alone."""
     reps = {s.jokers: s for s in strings}
     size = {j: sum(not 1 <= s.distance(t) <= k for t in strings) for j, s in reps.items()}
     order = sorted(range(len(strings)), key=lambda i: (size[strings[i].jokers], strings[i].jokers))
     walked = [strings[i] for i in order]
     vols = [1 << s.jokers for s in walked]
-    words = [(s.zero_mask, s.one_mask) for s in walked]
-    return order, _non_neighbours(walked, k, deadline), vols, words
+    zs, os_ = [s.zero_mask for s in walked], [s.one_mask for s in walked]
+    words = list(zip(zs, os_))
+    full = (1 << len(walked)) - 1
+    nadj = [0] * len(walked)
+    for v, count in _distance_rows(zs, os_, walked[0].length):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stop("time-budget")
+        nadj[v] = _outside(count, k, full) ^ 1 << v
+    return order, nadj, vols, words
 
 
 def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]:
@@ -382,35 +376,28 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
     deadline = None if cfg.budget_secs is None else start + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
     cutoff = best_bounds(k, d).upper.value if cfg.use_known_bounds else (1 << d) + 1
-    # warm start; a realize_mbar word has at most d - k jokers, so it is a candidate
+    # warm start: the constructed family is the witness until the walk beats it
     seed = realize_mbar(k, d).members if cfg.use_known_bounds else ()
-    # what a seed at the cutoff, or a graph build stopped by the time budget,
-    # leaves: the seed, in text order
-    order, engine = [], _Engine([], [], 1 << d, cutoff, None, None)
-    engine.best = len(seed)
-    members = tuple(sorted(seed, key=str))
+    engine = None
     stopped = "complete"
     try:
-        if engine.best >= cutoff:  # proven without a graph
+        if len(seed) >= cutoff:  # proven without a graph
             raise _Stop("cutoff")
         order, nadj, vols, words = _build_graph(strings, k, deadline)
         engine = _Engine(nadj, vols, 1 << d, cutoff, cfg.budget_nodes, deadline,
                          words if cfg.symmetry else None)
-        if seed:
-            vertex_of = {w: v for v, w in enumerate(words)}
-            engine._improve([vertex_of[m.zero_mask, m.one_mask] for m in seed])
+        engine.best = len(seed)  # the prunes read only the incumbent's size
         engine.run()
     except _Stop as exc:
         stopped = exc.reason
 
-    if order:
-        members = tuple(strings[i] for i in sorted(order[v] for v in engine.witness))
-    witness = Family(d, members)
+    members = [strings[order[v]] for v in engine.witness] if engine and engine.witness else seed
+    witness = Family(d, tuple(sorted(members, key=str)))
     if len(witness) and not verify_neighborly(witness, k).is_valid:
         raise AssertionError("internal error: witness fails verification")
     proven = stopped in ("complete", "cutoff")
     stats = {
-        "nodes": engine.nodes,
+        "nodes": engine.nodes if engine else 0,
         "elapsed_secs": time.monotonic() - start,
         "candidates": len(strings),
         "upper_cutoff": cutoff if cfg.use_known_bounds else None,
@@ -418,7 +405,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
         "budget_nodes": cfg.budget_nodes,
         "budget_secs": cfg.budget_secs,
     }
-    return SearchResult(k, d, engine.best, witness, proven, stats)
+    return SearchResult(k, d, len(witness), witness, proven, stats)
 
 
 def enumerate_max_families(

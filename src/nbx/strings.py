@@ -184,12 +184,14 @@ class TernaryString:
 
     # -- structural edits ------------------------------------------------
 
-    def concat(self, other: "TernaryString") -> "TernaryString":
-        return TernaryString(
-            self.length + other.length,
-            self.zero_mask | (other.zero_mask << self.length),
-            self.one_mask | (other.one_mask << self.length),
-        )
+    def concat(self, *others: "TernaryString") -> "TernaryString":
+        """This word, then each of ``others`` in turn, from the lowest coordinate."""
+        length, zeros, ones = self.length, self.zero_mask, self.one_mask
+        for w in others:
+            zeros |= w.zero_mask << length
+            ones |= w.one_mask << length
+            length += w.length
+        return TernaryString(length, zeros, ones)
 
     def __add__(self, other: "TernaryString") -> "TernaryString":
         return self.concat(other)

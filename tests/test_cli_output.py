@@ -251,21 +251,33 @@ def test_enumerate_writes_one_block_of_families_at_a_time(monkeypatch):
     assert [w.count("    [\n") for w in out.writes] == [500, 500, 296, 0]
 
 
+# runs argv[2:] with its stdout in the file argv[1], then prints the max RSS
+# of that command alone (kB on Linux) on stderr
+_LAUNCH = """import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    subprocess.run(sys.argv[2:], stdout=out, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)"""
+
+
+def _nbx_max_rss(tmp_path, out, *args) -> int:
+    """Run ``nbx ARGS`` in ``tmp_path`` with its stdout written to ``out``, and
+    return its max RSS in bytes.  A child exec'd straight from this process
+    inherits this process's high-water RSS, so a small launcher starts it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, str(out), sys.executable, "-m", "nbx.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, check=True,
+    )
+    return int(proc.stderr) * (1 if sys.platform == "darwin" else 1024)
+
+
 def test_enumerate_4_5_output_and_memory(tmp_path):
     # the 180,480 maximum (4,5) families as 67 MB of JSON.  Built as Family
     # objects, copied as texts and encoded at once, they took this command
     # to 387 MB max RSS (CPython 3.11); written from the index tuples, the
     # closure's tuples are the bulk of it
     out = tmp_path / "families.json"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    with open(out, "wb") as fh:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "nbx.cli", "search", "4", "5", "--enumerate", "--force"],
-            cwd=tmp_path, env=env, stdout=fh,
-        )
-        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
+    maxrss = _nbx_max_rss(tmp_path, out, "search", "4", "5", "--enumerate", "--force")
     digest = hashlib.sha256()
     with open(out, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -273,27 +285,18 @@ def test_enumerate_4_5_output_and_memory(tmp_path):
     assert (out.stat().st_size, digest.hexdigest()) == (
         67_138_636, "4f79bb968691b2a98a083ada4e25979cfb3221eceaacab2d282da671fb899e58")
     out.unlink()
-    maxrss = usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)  # kB on Linux
     assert maxrss < 200e6, maxrss
 
 
 def test_search_seed_at_the_cutoff_is_small(tmp_path):
     # n(1, 10) = 11 is the seed's size and the closed-form bound, so no
     # graph is built; building the 59,048-candidate graph first took this
-    # command to 483 MB max RSS (CPython 3.11).  A child exec'd straight
-    # from this process inherits its high-water RSS, so a small launcher
-    # runs the command and reports the command's own max RSS on stderr
-    launch = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
-              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", launch, sys.executable, "-m", "nbx.cli", "search", "1", "10"],
-        cwd=tmp_path, env=env, capture_output=True, check=True,
-    )
-    data = json.loads(proc.stdout)
+    # command to 483 MB max RSS (CPython 3.11)
+    out = tmp_path / "search.json"
+    maxrss = _nbx_max_rss(tmp_path, out, "search", "1", "10")
+    data = json.loads(out.read_text())
     assert (data["optimum"], data["proven_optimal"]) == (11, True)
     assert (data["stats"]["nodes"], data["stats"]["stopped"]) == (0, "cutoff")
-    maxrss = int(proc.stderr) * (1 if sys.platform == "darwin" else 1024)  # kB on Linux
     assert maxrss < 100e6, maxrss
 
 

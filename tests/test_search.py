@@ -500,17 +500,17 @@ class TestEnumerateMaxFamilies:
     def test_one_graph_build_and_the_time_budget_covers_the_walk(self, monkeypatch):
         # one walk, on one graph built in one kernel pass
         calls = []
-        for name in ("_build_graph", "_non_neighbours"):
+        for name in ("_build_graph", "_distance_rows"):
             counted = lambda *a, f=getattr(search, name), name=name: calls.append(name) or f(*a)
             monkeypatch.setattr(search, name, counted)
         max_family(2, 4)
-        assert calls == ["_build_graph", "_non_neighbours"]
+        assert calls == ["_build_graph", "_distance_rows"]
         calls.clear()
         walk, walks = _Engine.run, []
         counted = lambda engine: walks.append(type(engine)) or walk(engine)
         monkeypatch.setattr(_Engine, "run", counted)
         assert len(enumerate_max_families(2, 4)) == 48
-        assert calls == ["_build_graph", "_non_neighbours"]
+        assert calls == ["_build_graph", "_distance_rows"]
         assert walks == [_Enumerator]
         # the build fits the budget; the clock then jumps past it, and the
         # walk stops on it
@@ -575,9 +575,8 @@ class TestEnumerateMaxFamilies:
     def test_every_recorded_family_is_verified(self, monkeypatch):
         # rows that leave only distance-0 pairs apart: the graph for k = d,
         # whose cliques (the 16-word binary cube among them) are not 2-neighborly
-        rows = search._non_neighbours
-        monkeypatch.setattr(search, "_non_neighbours",
-                            lambda strings, k, deadline=None: rows(strings, strings[0].length, deadline))
+        outside = search._outside
+        monkeypatch.setattr(search, "_outside", lambda count, k, cols: outside(count, 4, cols))
         with pytest.raises(AssertionError, match="witness fails verification"):
             max_family(2, 4, SearchConfig(use_known_bounds=False))
         with pytest.raises(AssertionError, match="enumerated family fails verification"):

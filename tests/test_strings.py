@@ -253,6 +253,12 @@ class TestConcatDelete:
         assert str(t("0") + t("1*")) == "01*"
         assert str(t("00").concat(t("**"))) == "00**"
         assert str(t("1**") + t("0")) == "1**0"
+        # a run of words, the receiver in the lowest coordinates
+        assert t("*01").concat() == t("*01")
+        assert str(t("0").concat(t("1*"), t("*10"))) == "01**10"
+        empty = TernaryString(0, 0, 0)
+        assert str(t("10").concat(empty, t("*"), empty)) == "10*"
+        assert empty.concat(t("01"), empty) == t("01")
 
     def test_delete_examples(self):
         assert str(t("001").delete(3)) == "00"
