@@ -14,20 +14,17 @@ is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import Family, Violations, _by_distance, _distance_rows
-from .strings import TernaryString
+from .strings import TernaryString, _Record
 
 
-@dataclass(frozen=True)
-class BicliqueCover:
+class BicliqueCover(_Record):
     """d bicliques (L_i, R_i) over vertices 0..n-1."""
 
-    n: int
-    bicliques: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    __slots__ = ("n", "bicliques")
 
-    def __post_init__(self):
+    def __init__(self, n: int, bicliques: tuple[tuple[frozenset[int], frozenset[int]], ...]):
+        self._init(n, bicliques)
         if self.n < 0:
             raise ValueError(f"cover: 'n' must be non-negative, got {self.n}")
         for i, (left, right) in enumerate(self.bicliques, start=1):
@@ -75,14 +72,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, eq=False)
-class CoverReport:
+class CoverReport(_Record):
     """Edge-multiplicity check against a window [1, k].  Reports compare by
     identity; compare their fields instead."""
 
-    is_valid: bool
-    histogram: tuple[tuple[int, int], ...]  # (multiplicity, edge count)
-    violations: Violations  # (u, v, multiplicity), u < v
+    __slots__ = ("is_valid", "histogram", "violations")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, is_valid: bool, histogram: tuple[tuple[int, int], ...],
+                 violations: Violations):
+        # histogram: (multiplicity, edge count) pairs; violations: (u, v, multiplicity), u < v
+        self._init(is_valid, histogram, violations)
 
     def as_dict(self) -> dict:
         return {

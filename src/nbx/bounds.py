@@ -15,7 +15,6 @@ case for odd d - k and one for even, are built on top of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -24,6 +23,7 @@ if TYPE_CHECKING:
 
 from .constructions import m_value, mbar_value
 from .families import _check_kd
+from .strings import _Record
 
 
 class NoValidSplit(ValueError):
@@ -108,14 +108,13 @@ def split_upper_best(k: int, d: int) -> tuple[int, int]:
     return best
 
 
-@dataclass(frozen=True)
-class GreedyProfile:
+class GreedyProfile(_Record):
     """A feasible count profile: a[i] strings with exactly i jokers."""
 
-    a: tuple[int, ...]
-    total: int
+    __slots__ = ("a", "total")
 
-    def __post_init__(self):
+    def __init__(self, a: tuple[int, ...], total: int):
+        self._init(a, total)
         if self.total != sum(self.a):
             raise ValueError("total must equal sum(a)")
 
@@ -167,16 +166,13 @@ class Bound(NamedTuple):
     method: str
 
 
-@dataclass(frozen=True)
-class BoundsEntry:
+class BoundsEntry(_Record):
     """Best known lower and upper bounds for one (k, d) cell."""
 
-    k: int
-    d: int
-    lower: Bound
-    upper: Bound
+    __slots__ = ("k", "d", "lower", "upper")
 
-    def __post_init__(self):
+    def __init__(self, k: int, d: int, lower: Bound, upper: Bound):
+        self._init(k, d, lower, upper)
         if not (1 <= self.lower.value <= self.upper.value <= (1 << self.d)):
             raise ValueError("requires 1 <= lower <= upper <= 2^d")
 
@@ -244,15 +240,14 @@ def bounds_table(kmax: int, dmax: int) -> list[BoundsEntry]:
     return [best_bounds(k, d) for d in range(1, dmax + 1) for k in range(1, min(d, kmax) + 1)]
 
 
-@dataclass(frozen=True)
-class PascalFinding:
+class PascalFinding(_Record):
     """One audited cell of the triangle inequality
     lower(k, d) <= upper(k-1, d-1) + upper(k, d-1)."""
 
-    k: int
-    d: int
-    lhs: int
-    rhs: int
+    __slots__ = ("k", "d", "lhs", "rhs")
+
+    def __init__(self, k: int, d: int, lhs: int, rhs: int):
+        self._init(k, d, lhs, rhs)
 
     @property
     def violated(self) -> bool:

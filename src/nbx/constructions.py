@@ -17,13 +17,12 @@ chain words inside a fragmented family are checked through its union.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 from typing import Optional
 
 from .families import Family, _check_kd, verify_neighborly
-from .strings import TernaryString, all_jokers
+from .strings import TernaryString, _Record, all_jokers
 
 
 def _checked(family: Family, k: int, expected_size: int) -> Family:
@@ -75,8 +74,7 @@ def product(f: Family, g: Family) -> Family:
     return Family(f.dimension + g.dimension, members)
 
 
-@dataclass(frozen=True)
-class FragmentPlan:
+class FragmentPlan(_Record):
     """Block plan for the fragmented construction.
 
     ``a`` holds the m block lengths; the total dimension is
@@ -85,12 +83,10 @@ class FragmentPlan:
     case (the plan then just reproduces a product of chain families).
     """
 
-    k: int
-    d: int
-    m: int
-    a: tuple[int, ...]
+    __slots__ = ("k", "d", "m", "a")
 
-    def __post_init__(self):
+    def __init__(self, k: int, d: int, m: int, a: tuple[int, ...]):
+        self._init(k, d, m, a)
         if not 1 <= self.k <= self.m <= self.d:
             raise ValueError("requires 1 <= k <= m <= d")
         if len(self.a) != self.m:
@@ -166,8 +162,7 @@ def extremal_dminus1(d: int) -> Family:
     return _checked(Family(d, tuple(members)), d - 1, 3 << (d - 2))
 
 
-@dataclass(frozen=True)
-class MValueResult:
+class MValueResult(_Record):
     """Optimal value together with the plan(s) achieving it.
 
     ``plan`` is set for single-plan optimization, ``parts`` for the split
@@ -176,9 +171,11 @@ class MValueResult:
     majorized by every other one of the same length and sum.
     """
 
-    value: int
-    plan: Optional[FragmentPlan] = None
-    parts: Optional[tuple[FragmentPlan, ...]] = None
+    __slots__ = ("value", "plan", "parts")
+
+    def __init__(self, value: int, plan: Optional[FragmentPlan] = None,
+                 parts: Optional[tuple[FragmentPlan, ...]] = None):
+        self._init(value, plan, parts)
 
     def as_dict(self) -> dict:
         if self.parts is not None:

@@ -39,22 +39,20 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional
 
-from .strings import SYMBOLS, TernaryString, _drop
+from .strings import SYMBOLS, TernaryString, _drop, _Record
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """Ordered duplicate-free collection of strings of one length."""
 
-    dimension: int
-    members: tuple[TernaryString, ...]
+    __slots__ = ("dimension", "members")
 
-    def __post_init__(self):
+    def __init__(self, dimension: int, members: tuple[TernaryString, ...]):
+        self._init(dimension, members)
         seen = set()
         for m in self.members:
             if m.length != self.dimension:
@@ -270,15 +268,16 @@ class Violations:
         return (t for i, js, dists in self._expand() for t in zip(repeat(i), js, dists))
 
 
-@dataclass(frozen=True, eq=False)
-class NeighborlinessReport:
+class NeighborlinessReport(_Record):
     """Outcome of a pairwise distance check against a window [1, k].
     Reports compare by identity; compare their fields instead."""
 
-    is_valid: bool
-    min_distance: Optional[int]
-    max_distance: Optional[int]
-    violations: Violations
+    __slots__ = ("is_valid", "min_distance", "max_distance", "violations")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, is_valid: bool, min_distance: Optional[int],
+                 max_distance: Optional[int], violations: Violations):
+        self._init(is_valid, min_distance, max_distance, violations)
 
     def as_dict(self) -> dict:
         return {

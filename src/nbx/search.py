@@ -42,14 +42,13 @@ group (a cycle, a swap and a flip of coordinates) gives all of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
 from .families import Family, _check_kd, _distance_rows, _outside, verify_neighborly
-from .strings import TernaryString, all_strings
+from .strings import TernaryString, _Record, all_strings
 
 
 class CapacityExceeded(RuntimeError):
@@ -64,8 +63,7 @@ class EnumerationIncomplete(RuntimeError):
     """A budget stopped the enumeration walk or closure before it completed."""
 
 
-@dataclass
-class SearchConfig:
+class SearchConfig(_Record):
     """How ``max_family`` and ``enumerate_max_families`` search.
 
     budget_nodes: stop after this many walk nodes (None: no limit).
@@ -75,27 +73,28 @@ class SearchConfig:
     use_known_bounds: seed with ``realize_mbar``, stop at ``best_bounds(k, d).upper``.
     """
 
-    budget_nodes: Optional[int] = None
-    budget_secs: Optional[float] = None
-    symmetry: bool = True
-    max_candidates: int = 60_000
-    use_known_bounds: bool = True
+    __slots__ = ("budget_nodes", "budget_secs", "symmetry", "max_candidates", "use_known_bounds")
+    # unlike the other records, mutable, and so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __post_init__(self):
+    def __init__(self, budget_nodes: Optional[int] = None, budget_secs: Optional[float] = None,
+                 symmetry: bool = True, max_candidates: int = 60_000,
+                 use_known_bounds: bool = True):
+        self._init(budget_nodes, budget_secs, symmetry, max_candidates, use_known_bounds)
         if self.budget_nodes is not None and self.budget_nodes <= 0:
             raise ValueError("budget_nodes must be positive")
         if self.budget_secs is not None and not 0 < self.budget_secs < float("inf"):
             raise ValueError("budget_secs must be finite and positive")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    k: int
-    d: int
-    optimum: int
-    witness: Family
-    proven_optimal: bool
-    stats: dict = field(compare=False)
+class SearchResult(_Record, compare=("k", "d", "optimum", "witness", "proven_optimal")):
+    """The outcome of one search; ``==`` and ``hash`` leave out ``stats``."""
+
+    __slots__ = ("k", "d", "optimum", "witness", "proven_optimal", "stats")
+
+    def __init__(self, k: int, d: int, optimum: int, witness: Family, proven_optimal: bool,
+                 stats: dict):
+        self._init(k, d, optimum, witness, proven_optimal, stats)
 
     def as_dict(self) -> dict:
         return {

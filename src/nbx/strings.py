@@ -17,7 +17,7 @@ corresponds to coordinate i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 SYMBOLS = "01*"
@@ -38,19 +38,61 @@ def _drop(mask: int, c: int) -> int:
     return (mask & low) | ((mask >> 1) & ~low)
 
 
-@dataclass(frozen=True, slots=True)
-class TernaryString:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of nbx's immutable records.  A record names its fields in
+    ``__slots__`` and writes them in ``__init__`` with ``_init``.  ``repr``
+    and pickling read every field in that order; ``==`` and ``hash`` read
+    the ``compare`` fields given to the class, by default all of them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        cls._fields = attrgetter(*cls.__slots__)
+        cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class TernaryString(_Record):
     """An immutable word over {0, 1, *} of a fixed length.
 
     ``zero_mask`` and ``one_mask`` are disjoint bit-sets of coordinates
     carrying 0 and 1; every other coordinate carries the joker.
     """
 
-    length: int
-    zero_mask: int
-    one_mask: int
+    __slots__ = ("length", "zero_mask", "one_mask")
 
-    def __post_init__(self):
+    def __init__(self, length: int, zero_mask: int, one_mask: int):
+        # written out, not by _init: a word is built per candidate and per parse
+        _set(self, "length", length)
+        _set(self, "zero_mask", zero_mask)
+        _set(self, "one_mask", one_mask)
         if self.length < 0:
             raise ValueError("length must be nonnegative")
         full = (1 << self.length) - 1

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import replace
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -23,7 +22,7 @@ from nbx import (
     verify_neighborly,
 )
 from nbx import search
-from nbx.search import _Engine, _Enumerator, _Stop
+from nbx.search import SearchResult, _Engine, _Enumerator, _Stop
 
 from _oracles import all_max_cliques, brute_force_clique_size, sym_distance
 
@@ -246,7 +245,7 @@ class TestMaxFamily:
                 assert verify_certificate(result)
                 if d <= 4 or k in (1, d):
                     # the plain walk agrees wherever it is cheap
-                    plain = max_family(k, d, replace(cfg, symmetry=False))
+                    plain = max_family(k, d, SearchConfig(symmetry=False, use_known_bounds=False))
                     assert plain.optimum == result.optimum, (k, d)
 
     def test_seed_construction_errors_propagate(self, monkeypatch):
@@ -663,39 +662,47 @@ class TestVerifyCertificate:
         # swap one string for the all-jokers word: distance 0 to everything
         from nbx import all_jokers
 
-        result = max_family(2, 3)
-        members = tuple(result.witness.members)
-        tampered = replace(result, witness=(all_jokers(3),) + members[1:])
+        r = max_family(2, 3)
+        members = tuple(r.witness.members)
+        tampered = SearchResult(r.k, r.d, r.optimum, (all_jokers(3),) + members[1:],
+                                r.proven_optimal, r.stats)
         assert not verify_certificate(tampered)
 
     def test_rejects_duplicate(self):
-        result = max_family(2, 3)
-        members = tuple(result.witness.members)
-        tampered = replace(result, witness=(members[0],) + members[:-1])
+        r = max_family(2, 3)
+        members = tuple(r.witness.members)
+        tampered = SearchResult(r.k, r.d, r.optimum, (members[0],) + members[:-1],
+                                r.proven_optimal, r.stats)
         assert not verify_certificate(tampered)
 
     def test_rejects_wrong_size(self):
-        result = max_family(2, 3)
-        tampered = replace(result, witness=tuple(result.witness.members[:-1]))
+        r = max_family(2, 3)
+        tampered = SearchResult(r.k, r.d, r.optimum, tuple(r.witness.members[:-1]),
+                                r.proven_optimal, r.stats)
         assert not verify_certificate(tampered)
 
     def test_rejects_malformed_witness(self):
-        result = max_family(2, 3)
-        members = tuple(result.witness.members)
-        assert not verify_certificate(replace(result, witness=(object(),) + members[1:]))
-        assert not verify_certificate(replace(result, witness=("000",) + members[1:]))
-        assert not verify_certificate(replace(result, witness=None))
+        r = max_family(2, 3)
+        members = tuple(r.witness.members)
+        assert not verify_certificate(SearchResult(
+            r.k, r.d, r.optimum, (object(),) + members[1:], r.proven_optimal, r.stats))
+        assert not verify_certificate(SearchResult(
+            r.k, r.d, r.optimum, ("000",) + members[1:], r.proven_optimal, r.stats))
+        assert not verify_certificate(
+            SearchResult(r.k, r.d, r.optimum, None, r.proven_optimal, r.stats))
 
     def test_rejects_wrong_dimension(self):
-        result = max_family(2, 3)
-        tampered = replace(result, d=4)
+        r = max_family(2, 3)
+        tampered = SearchResult(r.k, 4, r.optimum, r.witness, r.proven_optimal, r.stats)
         assert not verify_certificate(tampered)
 
     def test_rejects_k_outside_1_to_d(self):
         # every distance is at most d, so k = d + 1 would accept any family
-        result = max_family(2, 3)
-        assert not verify_certificate(replace(result, k=0))
-        assert not verify_certificate(replace(result, k=4))
+        r = max_family(2, 3)
+        assert not verify_certificate(
+            SearchResult(0, r.d, r.optimum, r.witness, r.proven_optimal, r.stats))
+        assert not verify_certificate(
+            SearchResult(4, r.d, r.optimum, r.witness, r.proven_optimal, r.stats))
 
 
 class TestIndependentOracle:
