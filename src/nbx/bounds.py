@@ -15,11 +15,8 @@ case for odd d - k and one for even, are built on top of it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple, Optional
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 from .constructions import m_value, mbar_value
 from .families import _check_kd
@@ -100,7 +97,7 @@ def split_upper_best(k: int, d: int) -> tuple[int, int]:
     t_max = (d - 1 - k) // 2 + 1
     if t_max < 1:
         raise NoValidSplit(f"no valid split parameter for k={k}, d={d}")
-    best: Optional[tuple[int, int]] = None
+    best: tuple[int, int] | None = None
     for t in range(1, t_max + 1):
         value = split_upper(k, d, t)
         if best is None or value < best[0]:
@@ -161,9 +158,7 @@ def refined_upper(k: int, d: int) -> int:
     return kappa(k, d) + sum(layer[:-1]) + last
 
 
-class Bound(NamedTuple):
-    value: int
-    method: str
+Bound = namedtuple("Bound", "value method")
 
 
 class BoundsEntry(_Record):

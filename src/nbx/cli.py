@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import Optional
 
 from . import biclique, bounds, constructions, families, search
 
@@ -317,7 +316,7 @@ _HANDLERS = {
 }
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command; returns the exit status."""
     parser = _build_parser()
     try:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 from math import comb
-from typing import Optional
 
 from .families import Family, _check_kd, verify_neighborly
 from .strings import TernaryString, _Record, all_jokers
@@ -173,8 +172,8 @@ class MValueResult(_Record):
 
     __slots__ = ("value", "plan", "parts")
 
-    def __init__(self, value: int, plan: Optional[FragmentPlan] = None,
-                 parts: Optional[tuple[FragmentPlan, ...]] = None):
+    def __init__(self, value: int, plan: FragmentPlan | None = None,
+                 parts: tuple[FragmentPlan, ...] | None = None):
         self._init(value, plan, parts)
 
     def as_dict(self) -> dict:
@@ -194,7 +193,7 @@ def _balanced_split(total: int, parts: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _m_value_cached(k: int, d: int) -> MValueResult:
     _check_kd(k, d)
-    best: Optional[tuple[int, FragmentPlan]] = None
+    best: tuple[int, FragmentPlan] | None = None
     m = k
     while comb(m, k) + m - 1 <= d:
         plan = FragmentPlan(k, d, m, _balanced_split(d - comb(m, k) + 1, m))

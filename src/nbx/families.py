@@ -39,9 +39,9 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import compress, repeat
-from typing import Iterable, Iterator, Optional
 
 from .strings import SYMBOLS, TernaryString, _drop, _Record
 
@@ -65,7 +65,7 @@ class Family(_Record):
     # -- construction -------------------------------------------------
 
     @classmethod
-    def of(cls, members: Iterable, dimension: Optional[int] = None) -> "Family":
+    def of(cls, members: Iterable, dimension: int | None = None) -> "Family":
         """Build from strings or their text forms; dimension inferred if omitted."""
         parsed = tuple(
             m if isinstance(m, TernaryString) else TernaryString.parse(str(m)) for m in members
@@ -77,7 +77,7 @@ class Family(_Record):
         return cls(dimension, parsed)
 
     @classmethod
-    def from_nbx(cls, text: str, dimension: Optional[int] = None) -> "Family":
+    def from_nbx(cls, text: str, dimension: int | None = None) -> "Family":
         """Parse the one-string-per-line text format.
 
         Blank lines are ignored and lines whose first non-space character
@@ -255,10 +255,11 @@ class Violations:
     def _expand(self) -> Iterator[tuple[int, list[int], list[int]]]:
         """Yield ``(i, js, dists)`` for each violating row: its columns
         j > i, ascending, and dist(i, j) for each."""
-        n, a, b = self._n, self._a, self._b
+        a, b = self._a, self._b
+        cols = list(range(self._n))  # one int per column, shared by every row's slice
         for i, mask in self._rows:
             sel = bin(mask >> (i + 1))[:1:-1].encode().translate(_SELECT)  # column i + 1 first
-            js = list(compress(range(i + 1, n), sel))
+            js = list(compress(cols[i + 1:], sel))
             yield i, js, list(map(int.bit_count, map(a[i].__and__, map(b.__getitem__, js))))
 
     def __len__(self) -> int:
@@ -275,8 +276,8 @@ class NeighborlinessReport(_Record):
     __slots__ = ("is_valid", "min_distance", "max_distance", "violations")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, is_valid: bool, min_distance: Optional[int],
-                 max_distance: Optional[int], violations: Violations):
+    def __init__(self, is_valid: bool, min_distance: int | None,
+                 max_distance: int | None, violations: Violations):
         self._init(is_valid, min_distance, max_distance, violations)
 
     def as_dict(self) -> dict:
@@ -348,7 +349,7 @@ def _splits(props: Iterable[int], d: int) -> Iterator[int]:
     return (c for c in range(d) if common >> c & 1)
 
 
-def is_lamination(family: Family) -> Optional[int]:
+def is_lamination(family: Family) -> int | None:
     """Smallest coordinate at which a partition splits into its 0- and
     1-sides (every member non-joker there), or None."""
     if not is_partition(family):

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import time
 from math import comb
-from typing import Optional
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
@@ -77,7 +76,7 @@ class SearchConfig(_Record):
     # unlike the other records, mutable, and so unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, budget_nodes: Optional[int] = None, budget_secs: Optional[float] = None,
+    def __init__(self, budget_nodes: int | None = None, budget_secs: float | None = None,
                  symmetry: bool = True, max_candidates: int = 60_000,
                  use_known_bounds: bool = True):
         self._init(budget_nodes, budget_secs, symmetry, max_candidates, use_known_bounds)
@@ -125,9 +124,12 @@ class _Engine:
     """Branch-and-bound state over one ordered candidate list.
 
     ``nadj``, ``vols`` and ``words`` are kept as ``_build_graph`` emits
-    them, in walk order: row v holds the vertices not adjacent to v, other
-    than v; ``vols[v]`` is v's subcube volume; ``words[v]`` is its
-    (zero_mask, one_mask) over the log2(cube_volume) coordinates.  Given
+    them, in walk order (walk vertex v is ``strings[order[v]]``): row v holds
+    the vertices not adjacent to v, other than v; ``vols[v]`` is v's subcube
+    volume; ``words[v]`` is its (zero_mask, one_mask) over the
+    log2(cube_volume) coordinates.  Every pick of the walk (the colour peel,
+    the root's vertex from each bucket, ``_orbits``) takes the highest set
+    bit first, which ``int.bit_length`` finds in one call.  Given
     ``words``, the walk prunes by orbital branching under the coordinate
     permutations and 0/1 flips, and the volume buckets (one per joker count)
     are the orbits at the root.  Without it the walk is the plain clique
@@ -206,10 +208,9 @@ class _Engine:
             color += 1
             avail = pool
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
+                v = avail.bit_length() - 1
                 avail &= nadj[v]
-                pool ^= low
+                pool ^= 1 << v
                 if color > kmin:
                     order.append((v, color))
         return order
@@ -250,15 +251,16 @@ class _Engine:
         masks: dict[tuple, int] = {}
         rest = pool
         while rest:
-            low = rest & -rest
-            rest ^= low
-            z, o = words[low.bit_length() - 1]
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
+            z, o = words[v]
             key = (z & fixed, o & fixed, ((z | o) & joker).bit_count())
             for c in multi:
                 key += ((z & c).bit_count(), (o & c).bit_count())
-            keys.append((low, key))
-            masks[key] = masks.get(key, 0) | low
-        return {low.bit_length() - 1: masks[key] for low, key in keys}
+            keys.append((v, key))
+            masks[key] = masks.get(key, 0) | bit
+        return {v: masks[key] for v, key in keys}
 
     def expand(self, stack: list[int], pool: int, used_volume: int, classes=None):
         """Search every clique that extends ``stack`` within ``pool``.
@@ -281,7 +283,7 @@ class _Engine:
         else:  # the root: one vertex per joker count, fewest jokers first
             size = pool.bit_count()
             hits = [pool & b for b in self.buckets]
-            order = [((h & -h).bit_length() - 1, size) for h in hits if h]
+            order = [(h.bit_length() - 1, size) for h in hits if h]
         orbits = None
         for v, c in order:
             if depth + c <= self.best:
@@ -328,16 +330,19 @@ class _Enumerator(_Engine):
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
     """Everything the walk reads, as ``(order, nadj, vols, words)``: walk
-    vertex v is ``strings[order[v]]``, by degree desc (fewest non-neighbours
-    first), jokers asc, then place in ``strings``, and the rest hold in walk
-    order its closed non-neighbourhood row (the others at distance 0 or above
-    k, from one ``_distance_rows`` pass that checks ``deadline`` per row),
-    subcube volume and (zero_mask, one_mask).  The set is closed under the
-    cube group, which keeps distances and maps a string onto every other with
-    its joker count, so a row's size depends on that alone."""
+    vertex v is ``strings[order[v]]``.  The walk takes the highest bit first,
+    so ``order`` lists its preference last-first: degree desc (fewest
+    non-neighbours first), jokers asc, then place in ``strings``.  The rest
+    hold in walk order its closed non-neighbourhood row (the others at
+    distance 0 or above k, from one ``_distance_rows`` pass that checks
+    ``deadline`` per row), subcube volume and (zero_mask, one_mask).  The set
+    is closed under the cube group, which keeps distances and maps a string
+    onto every other with its joker count, so a row's size depends on that
+    alone."""
     reps = {s.jokers: s for s in strings}
     size = {j: sum(not 1 <= s.distance(t) <= k for t in strings) for j, s in reps.items()}
     order = sorted(range(len(strings)), key=lambda i: (size[strings[i].jokers], strings[i].jokers))
+    order.reverse()
     walked = [strings[i] for i in order]
     vols = [1 << s.jokers for s in walked]
     zs, os_ = [s.zero_mask for s in walked], [s.one_mask for s in walked]
@@ -364,7 +369,7 @@ def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]
     return enumerate_candidates(k, d)
 
 
-def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResult:
+def max_family(k: int, d: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Exact maximum k-neighborly family in dimension d.
 
     Returns the proven optimum, or the best family found when a budget ran
@@ -408,7 +413,7 @@ def max_family(k: int, d: int, cfg: Optional[SearchConfig] = None) -> SearchResu
 
 
 def enumerate_max_families(
-    k: int, d: int, cfg: Optional[SearchConfig] = None, cap: int = 100_000
+    k: int, d: int, cfg: SearchConfig | None = None, cap: int = 100_000
 ) -> list[Family]:
     """Every maximum k-neighborly family in dimension d, as member sets.
 
@@ -430,7 +435,7 @@ def enumerate_max_families(
 
 
 def _enumerate_indices(
-    k: int, d: int, cfg: Optional[SearchConfig] = None, cap: int = 100_000
+    k: int, d: int, cfg: SearchConfig | None = None, cap: int = 100_000
 ) -> tuple[list[TernaryString], list[tuple[int, ...]]]:
     """The enumeration behind ``enumerate_max_families``, as ``(strings,
     found)``: the candidates in text order, and every maximum family as the

@@ -17,8 +17,8 @@ corresponds to coordinate i).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import attrgetter
-from typing import Iterator
 
 SYMBOLS = "01*"
 

@@ -253,7 +253,9 @@ def test_build_graph():
         n = len(words)
         for k in range(1, d + 1):
             near = [[1 <= dist[i][j] <= k for j in range(n)] for i in range(n)]
+            # the walk takes the highest bit first, so it lists its preference last-first
             order = sorted(range(n), key=lambda i: (-sum(near[i]), words[i].count("*"), words[i]))
+            order.reverse()
             walk, nadj, vols, masks = _build_graph(strings, k)
             assert [words[i] for i in walk] == [words[i] for i in order], (d, limit, k)
             # volumes and (zero, one) masks in walk order, read off the text

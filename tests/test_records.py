@@ -4,8 +4,8 @@ Every record is immutable, compares and hashes by its fields, prints them
 in order, and survives ``pickle`` and ``copy.deepcopy``.  The exceptions
 are kept on purpose: the two reports compare by identity, a search result
 ignores its ``stats`` in comparisons, and a search config is mutable and
-unhashable.  ``import nbx.cli`` loads neither ``dataclasses`` nor
-``inspect``, so every command starts without them.
+unhashable.  ``import nbx.cli`` loads none of ``dataclasses``, ``inspect``
+and ``typing``, so every command starts without them.
 """
 
 import copy
@@ -220,7 +220,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps the interpreter's site .pth imports out of the check
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = ("import sys, nbx.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -91,14 +91,14 @@ class TestEngineAgainstBruteForce:
 
 
 def _reference_color_order(adj, pool, kmin):
-    """The full greedy peel over the adjacency rows, then only the colors
-    above kmin."""
+    """The full greedy peel over the adjacency rows, highest available
+    index first, then only the colors above kmin."""
     order, color = [], 0
     while pool:
         color += 1
         avail = pool
         while avail:
-            v = (avail & -avail).bit_length() - 1
+            v = avail.bit_length() - 1
             order.append((v, color))
             avail &= ~adj[v] & ~(1 << v)
             pool &= ~(1 << v)
@@ -403,6 +403,30 @@ class TestMaxFamily:
         enum = _Enumerator(nadj, vols, 1 << 5, 12, 10**6, None, None, words)
         enum.run()
         assert (enum.nodes, len(enum.found)) == (1040, 7)
+
+    def test_pinned_colour_work(self, monkeypatch):
+        # (calls, listed vertices) of the colour peel: a change of the walk's
+        # bit order or vertex numbering must colour exactly the same pools
+        color_order = _Engine._color_order
+        work = [0, 0]
+
+        def counted(engine, pool, kmin):
+            order = color_order(engine, pool, kmin)
+            work[0] += 1
+            work[1] += len(order)
+            return order
+
+        monkeypatch.setattr(_Engine, "_color_order", counted)
+        pins = [
+            (lambda: max_family(3, 5), (8481, 10206)),
+            (lambda: search._enumerate_indices(2, 5), (936, 1381)),
+            (lambda: max_family(4, 7, SearchConfig(budget_nodes=2000)), (443, 8026)),
+            (lambda: max_family(2, 6), (12998, 15543)),
+        ]
+        for i, (walk, want) in enumerate(pins):
+            work[:] = [0, 0]
+            walk()
+            assert tuple(work) == want, i
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
