@@ -48,7 +48,6 @@ from .families import (
     is_lamination,
     is_partition,
     is_total_lamination,
-    max_joker_ok,
     reduce_to_trivial,
     sgn_sum,
     verify_neighborly,
@@ -65,13 +64,13 @@ from .search import (
     max_family,
     verify_certificate,
 )
-from .strings import TernaryString, all_binary, all_jokers, all_strings, parse
+from .strings import TernaryString, all_jokers, all_strings, parse
 
 __all__ = [
-    "TernaryString", "parse", "all_binary", "all_jokers", "all_strings",
+    "TernaryString", "parse", "all_jokers", "all_strings",
     "Family", "NeighborlinessReport", "verify_neighborly", "volume",
     "is_partition", "is_lamination", "is_total_lamination",
-    "reduce_to_trivial", "sgn_sum", "max_joker_ok", "diameter",
+    "reduce_to_trivial", "sgn_sum", "diameter",
     "FragmentPlan", "MValueResult", "canonical", "ball_family", "product",
     "fragmented", "fragmented_parts", "extremal_dminus1", "m_value",
     "mbar_value", "realize_mbar",

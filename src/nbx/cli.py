@@ -252,13 +252,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    uncapped = {"max_candidates": 1 << 62} if args.force else {}
     cfg = search.SearchConfig(
         budget_nodes=args.budget_nodes,
         budget_secs=args.budget_secs,
         symmetry=not args.no_symmetry,
+        **uncapped,
     )
-    if args.force:
-        cfg.max_candidates = 1 << 62
     if args.enumerate_all:
         lifted = {"cap": 1 << 62} if args.force else {}
         strings, found = search._enumerate_indices(args.k, args.d, cfg, **lifted)

@@ -43,7 +43,7 @@ from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import compress, repeat
 
-from .strings import SYMBOLS, TernaryString, _drop, _Record
+from .strings import TernaryString, _drop, _Record
 
 
 class Family(_Record):
@@ -110,21 +110,6 @@ class Family(_Record):
 
     def __getitem__(self, i):
         return self.members[i]
-
-    # -- slicing -------------------------------------------------------
-
-    def slice(self, i: int, symbol: str) -> "Family":
-        """Members carrying ``symbol`` at 1-based coordinate i."""
-        if not 1 <= i <= self.dimension:
-            raise ValueError(f"coordinate {i} out of range 1..{self.dimension}")
-        if symbol not in ("0", "1", "*"):
-            raise ValueError(f"symbol must be one of {SYMBOLS!r}")
-        return Family(self.dimension, tuple(m for m in self.members if m.symbol(i) == symbol))
-
-    def delete_coord(self, i: int) -> "Family":
-        """Delete coordinate i from every member (may create duplicates,
-        which is then an error)."""
-        return Family(self.dimension - 1, tuple(m.delete(i) for m in self.members))
 
 
 def _transpose(masks: list[int], d: int) -> list[int]:
@@ -427,13 +412,6 @@ def sgn_sum(family: Family) -> int:
     pivot = min(family.members, key=lambda m: m.jokers)
     prop = pivot.prop_mask
     return sum(m.sign for m in family.members if m.prop_mask == prop)
-
-
-def max_joker_ok(family: Family, k: int) -> bool:
-    """True iff every member has at most d-k jokers (a necessary condition
-    for membership in a maximum k-neighborly family)."""
-    limit = family.dimension - k
-    return all(m.jokers <= limit for m in family.members)
 
 
 def diameter(points: Iterable[TernaryString]) -> int:

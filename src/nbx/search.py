@@ -73,8 +73,6 @@ class SearchConfig(_Record):
     """
 
     __slots__ = ("budget_nodes", "budget_secs", "symmetry", "max_candidates", "use_known_bounds")
-    # unlike the other records, mutable, and so unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, budget_nodes: int | None = None, budget_secs: float | None = None,
                  symmetry: bool = True, max_candidates: int = 60_000,

@@ -20,18 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import attrgetter
 
-SYMBOLS = "01*"
-
-
-def _mask_from_coords(length: int, coords) -> int:
-    mask = 0
-    for i in coords:
-        if not 1 <= i <= length:
-            raise ValueError(f"coordinate {i} out of range 1..{length}")
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def _drop(mask: int, c: int) -> int:
     """Delete bit c of a mask, shifting the higher bits down by one."""
     low = (1 << c) - 1
@@ -118,11 +106,6 @@ class TernaryString(_Record):
                 raise ValueError(f"illegal character {ch!r} at position {pos + 1}")
         return cls(len(text), zeros, ones)
 
-    @classmethod
-    def from_coords(cls, length: int, zeros=(), ones=()) -> "TernaryString":
-        """Build from 1-based coordinate collections."""
-        return cls(length, _mask_from_coords(length, zeros), _mask_from_coords(length, ones))
-
     # -- presentation ------------------------------------------------
 
     def __str__(self) -> str:
@@ -177,17 +160,6 @@ class TernaryString(_Record):
         """1-based non-joker coordinates."""
         return self.zeros() | self.ones()
 
-    def symbol(self, i: int) -> str:
-        """Symbol at 1-based coordinate i."""
-        if not 1 <= i <= self.length:
-            raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        bit = 1 << (i - 1)
-        if self.zero_mask & bit:
-            return "0"
-        if self.one_mask & bit:
-            return "1"
-        return "*"
-
     # -- distances ----------------------------------------------------
 
     def distance(self, other: "TernaryString") -> int:
@@ -196,14 +168,6 @@ class TernaryString(_Record):
             raise ValueError("length mismatch")
         conflict = (self.zero_mask & other.one_mask) | (self.one_mask & other.zero_mask)
         return conflict.bit_count()
-
-    def hamming(self, other: "TernaryString") -> int:
-        """Hamming distance; both strings must be joker-free."""
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        if not (self.is_binary and other.is_binary):
-            raise ValueError("hamming distance requires joker-free strings")
-        return (self.one_mask ^ other.one_mask).bit_count()
 
     # -- twins ----------------------------------------------------------
 
@@ -224,7 +188,7 @@ class TernaryString(_Record):
         conflict = (self.zero_mask & other.one_mask) | (self.one_mask & other.zero_mask)
         return TernaryString(self.length, self.zero_mask & ~conflict, self.one_mask & ~conflict)
 
-    # -- structural edits ------------------------------------------------
+    # -- concatenation ---------------------------------------------------
 
     def concat(self, *others: "TernaryString") -> "TernaryString":
         """This word, then each of ``others`` in turn, from the lowest coordinate."""
@@ -238,22 +202,7 @@ class TernaryString(_Record):
     def __add__(self, other: "TernaryString") -> "TernaryString":
         return self.concat(other)
 
-    def delete(self, i: int) -> "TernaryString":
-        """Drop 1-based coordinate i, shifting later coordinates down."""
-        if not 1 <= i <= self.length:
-            raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        c = i - 1
-        return TernaryString(self.length - 1, _drop(self.zero_mask, c), _drop(self.one_mask, c))
-
     # -- subcube view ------------------------------------------------------
-
-    def contains(self, v: "TernaryString") -> bool:
-        """True iff binary string v lies in this string's subcube."""
-        if self.length != v.length:
-            raise ValueError("length mismatch")
-        if not v.is_binary:
-            raise ValueError("membership is defined for joker-free strings")
-        return not ((v.one_mask & self.zero_mask) | (v.zero_mask & self.one_mask))
 
     def subcube(self) -> Iterator["TernaryString"]:
         """Yield the binary strings of the subcube (jokers expanded)."""
@@ -276,13 +225,6 @@ def parse(text: str) -> TernaryString:
 
 def all_jokers(d: int) -> TernaryString:
     return TernaryString(d, 0, 0)
-
-
-def all_binary(d: int) -> Iterator[TernaryString]:
-    """All 2^d joker-free strings, in increasing order of their 1-sets."""
-    full = (1 << d) - 1
-    for ones in range(1 << d):
-        yield TernaryString(d, full & ~ones, ones)
 
 
 def all_strings(d: int) -> Iterator[TernaryString]:

@@ -17,7 +17,6 @@ from nbx import (
     is_total_lamination,
     m_value,
     max_family,
-    max_joker_ok,
     mbar_value,
     reduce_to_trivial,
     sgn_sum,
@@ -68,45 +67,11 @@ class TestFamilyContainer:
             Family.of([])
         assert len(Family.of([], dimension=3)) == 0
 
-    def test_slice(self):
-        assert FIG_F.slice(3, "0") == Family.of(["**0"])
-        assert Family.of(["00", "01", "1*"]).slice(1, "1") == Family.of(["1*"])
-        with pytest.raises(ValueError):
-            FIG_F.slice(4, "0")
-        with pytest.raises(ValueError):
-            FIG_F.slice(1, "x")
-
-    def test_slice_trichotomy(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            fam = twin_split_partition(4, rng)
-            for i in range(1, 5):
-                pieces = [fam.slice(i, s) for s in "01*"]
-                assert sum(len(p) for p in pieces) == len(fam)
-                assert {m for p in pieces for m in p} == set(fam.members)
-
     def test_membership(self):
         assert TernaryString.parse("01*") in C3
         assert TernaryString.parse("11*") not in C3
         assert "01*" not in C3  # the text of a member is not a member
         assert TernaryString.parse("01") not in C3
-
-    def test_delete_coord_maps_each_member(self):
-        assert C3.delete_coord(1).texts() == ["00", "01", "1*", "**"]
-        for i in (2, 3):
-            fam = FIG_F.delete_coord(i)
-            assert fam.dimension == 2
-            assert fam.members == tuple(m.delete(i) for m in FIG_F.members)
-
-    def test_delete_coord_rejects_duplicates(self):
-        # 000 and 001 differ only at coordinate 3
-        with pytest.raises(ValueError, match="duplicate member '00'"):
-            C3.delete_coord(3)
-
-    def test_delete_coord_range(self):
-        for i in (0, C3.dimension + 1):
-            with pytest.raises(ValueError, match="out of range"):
-                C3.delete_coord(i)
 
 
 class TestVerifyNeighborly:
@@ -311,19 +276,6 @@ class TestSgnSum:
             assert sgn_sum(fam) == 0
 
 
-class TestMaxJokerOk:
-    def test_examples(self):
-        assert max_joker_ok(C3, 1)
-        assert not max_joker_ok(Family.of(["***"]), 1)
-        assert max_joker_ok(H2, 2)
-        assert max_joker_ok(canonical(5), 1)
-
-    def test_threshold(self):
-        fam = Family.of(["0**", "1**"])
-        assert max_joker_ok(fam, 1)
-        assert not max_joker_ok(fam, 2)
-
-
 class TestDiameter:
     def test_single_point(self):
         assert diameter([TernaryString.parse("010")]) == 0
@@ -402,11 +354,6 @@ class TestAgainstTextOracles:
                 texts = rng.choices(pool, k=n)  # with repeats
                 expected = max(sym_distance(a, b) for a in texts for b in texts)
                 assert diameter(map(_word, texts)) == expected, texts
-
-
-def test_slice_rejects_multicharacter_symbol():
-    with pytest.raises(ValueError, match="symbol"):
-        C3.slice(1, "01")
 
 
 class TestAllPartitionsExhaustive:

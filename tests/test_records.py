@@ -2,10 +2,10 @@
 
 Every record is immutable, compares and hashes by its fields, prints them
 in order, and survives ``pickle`` and ``copy.deepcopy``.  The exceptions
-are kept on purpose: the two reports compare by identity, a search result
-ignores its ``stats`` in comparisons, and a search config is mutable and
-unhashable.  ``import nbx.cli`` loads none of ``dataclasses``, ``inspect``
-and ``typing``, so every command starts without them.
+are kept on purpose: the two reports compare by identity, and a search
+result ignores its ``stats`` in comparisons.  ``import nbx.cli`` loads none
+of ``dataclasses``, ``inspect`` and ``typing``, so every command starts
+without them.
 """
 
 import copy
@@ -188,13 +188,15 @@ class TestSearchConfig:
             use_known_bounds=False)
         assert SearchConfig(symmetry=False) != cfg
 
-    def test_mutable_and_unhashable(self):
+    def test_immutable_and_hashable(self):
         cfg = SearchConfig()
-        cfg.max_candidates = 1 << 62
-        assert cfg.max_candidates == 1 << 62
-        assert cfg == SearchConfig(max_candidates=1 << 62)
-        with pytest.raises(TypeError):
-            hash(cfg)
+        with pytest.raises(AttributeError):
+            cfg.max_candidates = 1 << 62
+        with pytest.raises(AttributeError):
+            del cfg.symmetry
+        assert cfg.max_candidates == 60_000
+        assert hash(SearchConfig()) == hash(SearchConfig())
+        assert hash(SearchConfig(max_candidates=7)) == hash(SearchConfig(None, None, True, 7))
 
     def test_budgets_validated(self):
         for kwargs in ({"budget_nodes": 0}, {"budget_nodes": -3}, {"budget_secs": 0},
