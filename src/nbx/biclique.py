@@ -14,7 +14,7 @@ is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 
 from __future__ import annotations
 
-from .families import Family, Violations, _by_distance, _distance_rows
+from .families import Family, Violations, _at_bits, _by_distance, _distance_rows, _transpose
 from .strings import TernaryString, _Record
 
 
@@ -28,11 +28,15 @@ class BicliqueCover(_Record):
         if self.n < 0:
             raise ValueError(f"cover: 'n' must be non-negative, got {self.n}")
         for i, (left, right) in enumerate(self.bicliques, start=1):
-            if left & right:
+            if not left.isdisjoint(right):
                 raise ValueError(f"biclique {i}: sides are not disjoint")
-            for v in left | right:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"biclique {i}: vertex {v} out of range 0..{self.n - 1}")
+            low, high = 0, -1
+            for side in filter(None, (left, right)):
+                ordered = sorted(side)  # sorted has a fast path for ints; min and max do not
+                low, high = min(low, ordered[0]), max(high, ordered[-1])
+            if low < 0 or high >= self.n:  # name the smallest vertex below 0, else the largest
+                v = low if low < 0 else high
+                raise ValueError(f"biclique {i}: vertex {v} out of range 0..{self.n - 1}")
 
     @property
     def d(self) -> int:
@@ -92,18 +96,26 @@ class CoverReport(_Record):
         }
 
 
+def _columns(family: Family) -> list[tuple[int, int]]:
+    """The bicliques of ``family_to_cover`` as vertex bit-sets: for each
+    coordinate i, the pair (L_i, R_i) with bit v set when member v has 0
+    (resp. 1) at i.  Fewer than 2 members is an error."""
+    if len(family) < 2:
+        raise ValueError("a covering needs at least 2 vertices")
+    d = family.dimension
+    lefts = _transpose([m.zero_mask for m in family.members], d)
+    rights = _transpose([m.one_mask for m in family.members], d)
+    return list(zip(lefts, rights))
+
+
 def family_to_cover(family: Family) -> BicliqueCover:
     """Biclique covering read off the family coordinates; edge (u, v) ends
     up covered exactly distance(u, v) times."""
-    if len(family) < 2:
-        raise ValueError("a covering needs at least 2 vertices")
-    bicliques = []
-    for i in range(1, family.dimension + 1):
-        bit = 1 << (i - 1)
-        left = frozenset(v for v, m in enumerate(family.members) if m.zero_mask & bit)
-        right = frozenset(v for v, m in enumerate(family.members) if m.one_mask & bit)
-        bicliques.append((left, right))
-    return BicliqueCover(len(family), tuple(bicliques))
+    vertices = range(len(family))
+    return BicliqueCover(len(family), tuple(
+        (frozenset(_at_bits(left, vertices)), frozenset(_at_bits(right, vertices)))
+        for left, right in _columns(family)
+    ))
 
 
 def _vertex_masks(cover: BicliqueCover, n: int) -> tuple[list[int], list[int]]:

@@ -93,6 +93,26 @@ def _emit_families(k: int, d: int, strings, found) -> None:
     sys.stdout.write("\n    ]\n  ]\n}\n")
 
 
+def _emit_cover(fam: families.Family) -> None:
+    """``_emit_json(biclique.family_to_cover(fam).as_dict())``, written from
+    the family's coordinate bit-sets one side at a time: json.dump puts each
+    vertex on its own line, so a side's text is its vertices' texts,
+    selected from a table by the side's bits and joined in C.  No cover
+    record, vertex set or encoder is built."""
+    columns = biclique._columns(fam)  # fewer than 2 members fails before any output
+    text = ["        %d" % v for v in range(len(fam))]
+
+    def side(mask: int) -> str:
+        return "[\n" + ",\n".join(families._at_bits(mask, text)) + "\n      ]" if mask else "[]"
+
+    lead = '{\n  "n": %d,\n  "bicliques": [\n    {\n      "L": ' % len(fam)
+    for left, right in columns:
+        sys.stdout.write(lead + side(left))
+        sys.stdout.write(',\n      "R": ' + side(right))
+        lead = '\n    },\n    {\n      "L": '  # ends a biclique, opens the next
+    sys.stdout.write("\n    }\n  ]\n}\n")
+
+
 def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
     if fmt == "tsv":
         sys.stdout.write("\t".join(header) + "\n")
@@ -277,8 +297,7 @@ def _cmd_mkd(args) -> int:
 
 def _cmd_convert(args) -> int:
     if args.direction == "to-cover":
-        fam = _load_family(args.file)
-        _emit_json(biclique.family_to_cover(fam).as_dict())
+        _emit_cover(_load_family(args.file))
     else:
         cover = biclique.BicliqueCover.from_dict(json.loads(_read_text(args.file)))
         _emit_family(biclique.cover_to_family(cover))

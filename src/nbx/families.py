@@ -114,7 +114,7 @@ class Family(_Record):
 
 def _transpose(masks: list[int], d: int) -> list[int]:
     """Per-coordinate member bit-sets: bit j of entry c is bit c of masks[j]."""
-    rows = "".join(format(m, f"0{d}b") for m in masks)  # coordinate d-1 first
+    rows = "".join(map(format, masks, repeat(f"0{d}b")))  # coordinate d-1 first
     return [int("0" + rows[d - 1 - c :: d][::-1], 2) for c in range(d)]
 
 
@@ -217,6 +217,12 @@ def _by_distance(count: list[int], mask: int) -> list[tuple[int, int]]:
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors
 
 
+def _at_bits(mask: int, items) -> Iterator:
+    """The items at the set bits of ``mask``, bit 0 first: one C-level
+    ``compress`` over ``items``."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_SELECT))
+
+
 class Violations:
     """The violating pairs ``(i, j, dist(i, j))``, i < j, in (i, j) order,
     kept as one column mask per violating row i.  Iteration yields the
@@ -243,8 +249,7 @@ class Violations:
         a, b = self._a, self._b
         cols = list(range(self._n))  # one int per column, shared by every row's slice
         for i, mask in self._rows:
-            sel = bin(mask >> (i + 1))[:1:-1].encode().translate(_SELECT)  # column i + 1 first
-            js = list(compress(cols[i + 1:], sel))
+            js = list(_at_bits(mask >> (i + 1), cols[i + 1:]))
             yield i, js, list(map(int.bit_count, map(a[i].__and__, map(b.__getitem__, js))))
 
     def __len__(self) -> int:

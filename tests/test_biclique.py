@@ -45,6 +45,22 @@ class TestCoverType:
         with pytest.raises(ValueError, match="out of range"):
             BicliqueCover.of(2, [({0}, {2})])
 
+    @pytest.mark.parametrize("left, right, named", [
+        ({-3, -1, 0, 5, 9}, {1}, -3),  # one side holds both kinds: the smallest below 0
+        ({0, 5}, {1, -2, 9}, -2),  # below 0 in one side, too large in the other
+        ({0, 5, 4}, {1, 9}, 9),  # none below 0: the largest
+        (set(), {3}, 3),
+    ], ids=["one-side", "both-sides", "too-large", "empty-left"])
+    def test_out_of_range_vertex_named(self, left, right, named):
+        message = f"^biclique 2: vertex {named} out of range 0..2$"
+        with pytest.raises(ValueError, match=message):
+            BicliqueCover.of(3, [({0}, {1}), (left, right)])
+
+    def test_empty_cover_and_sides_are_valid(self):
+        assert BicliqueCover.of(0, []).d == 0
+        assert BicliqueCover.of(0, [(set(), set())]).d == 1
+        assert BicliqueCover.of(1, [({0}, set())]).d == 1
+
     def test_json_round_trip(self):
         cover = family_to_cover(canonical(3))
         data = json.loads(json.dumps(cover.as_dict()))
@@ -80,6 +96,27 @@ class TestFamilyToCover:
             for a in range(len(fam)):
                 for b in range(a + 1, len(fam)):
                     assert counts.get((a, b), 0) == fam[a].distance(fam[b])
+
+    def test_matches_the_per_member_oracle(self):
+        # side i collects the members with 0 (resp. 1) at coordinate i, read
+        # one member mask at a time; every family has an all-joker coordinate
+        # half the time, whose sides are empty
+        rng = random.Random(7)
+        for _ in range(60):
+            d = rng.randint(1, 9)
+            fam = random_family(rng, d, rng.randint(2, 40))
+            if d > 1 and rng.random() < 0.5:
+                j = rng.randrange(d)
+                words = dict.fromkeys(w[:j] + "*" + w[j + 1:] for w in fam.texts())
+                if len(words) < 2:
+                    continue
+                fam = Family.of(words)
+            expected = tuple(
+                (frozenset(v for v, m in enumerate(fam) if m.zero_mask >> i & 1),
+                 frozenset(v for v, m in enumerate(fam) if m.one_mask >> i & 1))
+                for i in range(d)
+            )
+            assert family_to_cover(fam) == BicliqueCover(len(fam), expected)
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """The JSON writers of the command line, against ``json.dump``.
 
 ``nbx verify`` writes its report through ``cli._emit_report``, ``nbx
-search --enumerate`` its families through ``cli._emit_families``, and every
-other JSON command goes through ``cli._emit_json``.  Each must print exactly
+search --enumerate`` its families through ``cli._emit_families``, ``nbx
+convert to-cover`` its cover through ``cli._emit_cover``, and every other
+JSON command goes through ``cli._emit_json``.  Each must print exactly
 ``json.dumps(data, indent=2) + "\\n"``, one block at a time (for the
 report, one row or at most ``_BLOCK`` triples of a row; for the families,
-at most ``_BLOCK`` families), and a closed stdout must end the command with
-exit status 141 and nothing on stderr.
+at most ``_BLOCK`` families; for the cover, one side), and a closed stdout
+must end the command with exit status 141 and nothing on stderr.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from itertools import islice, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,13 +219,17 @@ def test_fragmented_output_is_pinned(capsys):
         168, "618148d643c6e92ee6e9e44d400a5587e91b352acafef39b326584a864678ec7")
 
 
-@pytest.mark.parametrize("k, d, size, digest", [
+_ENUMERATE_PINS = [
     (2, 4, 6_695, "755aceb7420b7c0ad7a71315ccd424e2dcff7f80a8d881027c38d9c9f175a19a"),
     (2, 5, 491_594, "c3f77742631bf034511c71966d478b18e843550178e6b70ae1d3f786ace59cec"),
     (3, 5, 812_234, "e03ed3bd9eab3ddef673c2af5b4cdb189f63e3d1a3df430bc622fda5a136fde4"),
     (1, 5, 8_197_610, "8c0609decfa5beac7ae1bd1d1577c03b90d5b1ab471e730737d51e98859971b4"),
     (2, 6, 17_454_379, "a2d9bba0a0d191a9499b9da97ee9c5a4242a8de88a00cee89cc643320f07a6ed"),
-])
+]
+
+
+@pytest.mark.parametrize("k, d, size, digest", _ENUMERATE_PINS,
+                         ids=[f"{k}-{d}" for k, d, _, _ in _ENUMERATE_PINS])
 def test_enumerate_output_is_pinned(k, d, size, digest, capsys):
     # every maximum family, in text order at both levels
     assert run(["search", str(k), str(d), "--enumerate"]) == 0
@@ -251,6 +257,69 @@ def test_enumerate_writes_one_block_of_families_at_a_time(monkeypatch):
     assert [w.count("    [\n") for w in out.writes] == [500, 500, 296, 0]
 
 
+def converted_to_cover(text: str) -> tuple[int, str]:
+    """Exit status and stdout of ``nbx convert to-cover -`` on ``text``."""
+    buf = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(buf):
+        status = run(["convert", "to-cover", "-"])
+    return status, buf.getvalue()
+
+
+@st.composite
+def cover_families(draw) -> Family:
+    """2 to 40 distinct words of length d <= 8; when d > 1, one coordinate
+    may be '*' in every word, so that both sides of its biclique are empty."""
+    d = draw(st.integers(1, 8))
+    joker = draw(st.none() | st.integers(0, d - 1)) if d > 1 else None
+    width = d - (joker is not None)
+    words = draw(st.lists(st.text("01*", min_size=width, max_size=width),
+                          min_size=2, max_size=40, unique=True))
+    if joker is not None:
+        words = [w[:joker] + "*" + w[joker:] for w in words]
+    return Family.of(words)
+
+
+@KERNEL
+@given(cover_families())
+@example(Family.of(["0", "1"]))  # d = 1, n = 2
+@example(Family.of(["1", "*"]))  # a side of one vertex and an empty side
+@example(Family.of(["0*", "1*"]))  # an all-joker coordinate
+def test_cover_writer_matches_json_dump(fam):
+    expected = json.dumps(biclique.family_to_cover(fam).as_dict(), indent=2) + "\n"
+    assert converted_to_cover(fam.to_nbx()) == (0, expected)
+
+
+@pytest.mark.parametrize("text", ["", "# no members\n", "01*\n"], ids=["empty", "comment", "one"])
+def test_cover_of_fewer_than_two_members_is_refused(text, capsys):
+    # the error comes before the first byte of output
+    assert converted_to_cover(text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cover_writer_writes_one_side_at_a_time(monkeypatch):
+    fam = constructions.extremal_dminus1(5)
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._emit_cover(fam)
+    # one write per side, and one for the tail
+    assert len(out.writes) == 2 * fam.dimension + 1
+    expected = json.dumps(biclique.family_to_cover(fam).as_dict(), indent=2) + "\n"
+    assert "".join(out.writes) == expected
+
+
+def test_cover_of_a_shuffled_extremal_13_is_pinned(tmp_path, capsys):
+    # the 6,144 members in a seeded order, so that each side is a scattered set
+    words = constructions.extremal_dminus1(13).texts()
+    random.Random(2024).shuffle(words)
+    path = tmp_path / "extremal13.nbx"
+    path.write_text("".join(w + "\n" for w in words))
+    assert run(["convert", "to-cover", str(path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        1_076_221, "ec1c96859ebd5ff1a1662c6396d72018d564aa67d0b939608c690a0f3576290c")
+
+
 # runs argv[2:] with its stdout in the file argv[1], then prints the max RSS
 # of that command alone (kB on Linux) on stderr
 _LAUNCH = """import resource, subprocess, sys
@@ -259,16 +328,22 @@ with open(sys.argv[1], "wb") as out:
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)"""
 
 
-def _nbx_max_rss(tmp_path, out, *args) -> int:
-    """Run ``nbx ARGS`` in ``tmp_path`` with its stdout written to ``out``, and
-    return its max RSS in bytes.  A child exec'd straight from this process
-    inherits this process's high-water RSS, so a small launcher starts it."""
+def _python_max_rss(tmp_path, out, *args) -> int:
+    """Run ``python ARGS`` in ``tmp_path`` with ``src`` on its path and its
+    stdout written to ``out``, and return its max RSS in bytes.  A child
+    exec'd straight from this process inherits this process's high-water
+    RSS, so a small launcher starts it."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCH, str(out), sys.executable, "-m", "nbx.cli", *args],
+        [sys.executable, "-c", _LAUNCH, str(out), sys.executable, *args],
         cwd=tmp_path, env=env, capture_output=True, check=True,
     )
     return int(proc.stderr) * (1 if sys.platform == "darwin" else 1024)
+
+
+def _nbx_max_rss(tmp_path, out, *args) -> int:
+    """Max RSS in bytes of ``nbx ARGS``, run as ``_python_max_rss`` runs it."""
+    return _python_max_rss(tmp_path, out, "-m", "nbx.cli", *args)
 
 
 def test_enumerate_4_5_output_and_memory(tmp_path):
@@ -298,6 +373,19 @@ def test_search_seed_at_the_cutoff_is_small(tmp_path):
     assert (data["optimum"], data["proven_optimal"]) == (11, True)
     assert (data["stats"]["nodes"], data["stats"]["stopped"]) == (0, "cutoff")
     assert maxrss < 100e6, maxrss
+
+
+def test_to_cover_memory_is_near_the_import(tmp_path):
+    # the cover of the 6,144-member extremal(13) family.  Built as 26 vertex
+    # frozensets and run through json's encoder, it took this command about
+    # 7.5 MB above a bare `import nbx.cli` (CPython 3.11); written from the
+    # coordinate bit-sets, about 2.3 MB above it
+    path = tmp_path / "extremal13.nbx"
+    path.write_text(constructions.extremal_dminus1(13).to_nbx())
+    base = _python_max_rss(tmp_path, tmp_path / "import.txt", "-c", "import nbx.cli")
+    used = _nbx_max_rss(tmp_path, tmp_path / "cover.json", "convert", "to-cover", path.name)
+    assert (tmp_path / "cover.json").stat().st_size == 1_075_845
+    assert used - base < 4e6, (used, base)
 
 
 @pytest.mark.parametrize("pipeline, size, digest", [
