@@ -14,6 +14,8 @@ is 0 at i, v in R_i is 1), so ``verify_cover`` runs on the family kernel.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .families import Family, Violations, _at_bits, _by_distance, _distance_rows, _transpose
 from .strings import TernaryString, _Record
 
@@ -25,18 +27,7 @@ class BicliqueCover(_Record):
 
     def __init__(self, n: int, bicliques: tuple[tuple[frozenset[int], frozenset[int]], ...]):
         self._init(n, bicliques)
-        if self.n < 0:
-            raise ValueError(f"cover: 'n' must be non-negative, got {self.n}")
-        for i, (left, right) in enumerate(self.bicliques, start=1):
-            if not left.isdisjoint(right):
-                raise ValueError(f"biclique {i}: sides are not disjoint")
-            low, high = 0, -1
-            for side in filter(None, (left, right)):
-                ordered = sorted(side)  # sorted has a fast path for ints; min and max do not
-                low, high = min(low, ordered[0]), max(high, ordered[-1])
-            if low < 0 or high >= self.n:  # name the smallest vertex below 0, else the largest
-                v = low if low < 0 else high
-                raise ValueError(f"biclique {i}: vertex {v} out of range 0..{self.n - 1}")
+        _check_sides(self.n, self.bicliques)
 
     @property
     def d(self) -> int:
@@ -55,21 +46,28 @@ class BicliqueCover(_Record):
     @classmethod
     def from_dict(cls, data) -> "BicliqueCover":
         """Parse the ``as_dict`` shape; ValueError names the first bad field."""
-        if not isinstance(data, dict):
-            raise ValueError("cover: expected a JSON object")
-        if not _is_int(data.get("n")):
-            raise ValueError("cover: 'n' must be an integer")
-        if not isinstance(data.get("bicliques"), list):
-            raise ValueError("cover: 'bicliques' must be a list")
-        sides = []
-        for i, b in enumerate(data["bicliques"], start=1):
-            if not isinstance(b, dict):
-                raise ValueError(f"biclique {i}: expected an object with 'L' and 'R'")
-            for side in ("L", "R"):
-                if not isinstance(b.get(side), list) or not all(map(_is_int, b[side])):
-                    raise ValueError(f"biclique {i}: '{side}' must be a list of integer vertices")
-            sides.append((b["L"], b["R"]))
-        return cls.of(data["n"], sides)
+        return cls.of(*_cover_fields(data))
+
+
+def _cover_fields(data) -> tuple[int, list[tuple[list, list]]]:
+    """``n`` and the ``(L, R)`` vertex lists of a cover in the ``as_dict``
+    shape, checked for their types only; ValueError names the first bad
+    field."""
+    if not isinstance(data, dict):
+        raise ValueError("cover: expected a JSON object")
+    if not _is_int(data.get("n")):
+        raise ValueError("cover: 'n' must be an integer")
+    if not isinstance(data.get("bicliques"), list):
+        raise ValueError("cover: 'bicliques' must be a list")
+    sides = []
+    for i, b in enumerate(data["bicliques"], start=1):
+        if not isinstance(b, dict):
+            raise ValueError(f"biclique {i}: expected an object with 'L' and 'R'")
+        for side in ("L", "R"):
+            if not isinstance(b.get(side), list) or not all(map(_is_int, b[side])):
+                raise ValueError(f"biclique {i}: '{side}' must be a list of integer vertices")
+        sides.append((b["L"], b["R"]))
+    return data["n"], sides
 
 
 def _is_int(value) -> bool:
@@ -118,15 +116,63 @@ def family_to_cover(family: Family) -> BicliqueCover:
     ))
 
 
-def _vertex_masks(cover: BicliqueCover, n: int) -> tuple[list[int], list[int]]:
-    """Words of vertices 0..n-1: bit i of zs[v] (os_[v]) is set when v is in L_i (R_i)."""
-    zs, os_ = [0] * n, [0] * n
-    for i, (left, right) in enumerate(cover.bicliques):
-        for v in filter(n.__gt__, left):
-            zs[v] |= 1 << i
-        for v in filter(n.__gt__, right):
-            os_[v] |= 1 << i
-    return zs, os_
+def _check_sides(n: int, bicliques) -> None:
+    """Raise ValueError on the first bad field of a cover whose sides L_i
+    and R_i are collections of integer vertices: a negative n, then, biclique
+    by biclique, sides that meet, or else a vertex outside 0..n-1 (the
+    smallest below 0, else the largest)."""
+    if n < 0:
+        raise ValueError(f"cover: 'n' must be non-negative, got {n}")
+    for i, (left, right) in enumerate(bicliques, start=1):
+        if not set(left).isdisjoint(right):
+            raise ValueError(f"biclique {i}: sides are not disjoint")
+        low, high = 0, -1
+        for side in filter(None, (left, right)):
+            ordered = sorted(side)  # sorted has a fast path for ints; min and max do not
+            low, high = min(low, ordered[0]), max(high, ordered[-1])
+        if low < 0 or high >= n:  # name the smallest vertex below 0, else the largest
+            v = low if low < 0 else high
+            raise ValueError(f"biclique {i}: vertex {v} out of range 0..{n - 1}")
+
+
+def _bits(vertices, size: int) -> int:
+    """The bit-set of the vertices below ``size``, set in C: one digit per
+    vertex in a bytearray, read as a binary numeral."""
+    digits = bytearray(b"0") * size
+    ones = filter(size.__gt__, vertices)
+    any(map(digits.__setitem__, ones, repeat(ord("1"))))  # each call returns None: any runs all
+    return int(b"0" + digits[::-1], 2)
+
+
+def _side_bits(n: int, bicliques) -> tuple[int, list[int], list[int]]:
+    """The first half of ``cover_to_family``, on a cover's fields, its sides
+    any collections of integer vertices: check them as ``BicliqueCover``
+    does, and that n >= 2.  Return the number m of vertices that get words,
+    ``min(n, len(covered) + 2)``, and the sides as bit-sets of the vertices
+    below m, lefts then rights."""
+    _check_sides(n, bicliques)
+    if n < 2:
+        raise ValueError("a covering needs at least 2 vertices")
+    covered = set().union(*(side for pair in bicliques for side in pair))
+    m = min(n, len(covered) + 2)
+    return m, [_bits(left, m) for left, _ in bicliques], [_bits(right, m) for _, right in bicliques]
+
+
+def _family_of(m: int, lefts: list[int], rights: list[int]) -> Family:
+    """The second half of ``cover_to_family``: the words of vertices
+    0..m-1, the transpose of the sides' bit-sets, up to the first repeat."""
+    d = len(lefts)
+    members = []
+    texts = {}
+    for v, key in enumerate(zip(_transpose(lefts, m), _transpose(rights, m))):
+        s = TernaryString(d, *key)
+        if key in texts:
+            raise ValueError(
+                f"vertices {texts[key]} and {v} are indistinguishable (both map to {s})"
+            )
+        texts[key] = v
+        members.append(s)
+    return Family(d, tuple(members))
 
 
 def cover_to_family(cover: BicliqueCover) -> Family:
@@ -138,27 +184,15 @@ def cover_to_family(cover: BicliqueCover) -> Family:
     biclique both map to the all-joker word, so the first repeat lies
     among the first ``len(covered) + 2`` vertices, and only those get words.
     As in family_to_cover, fewer than 2 vertices is an error."""
-    if cover.n < 2:
-        raise ValueError("a covering needs at least 2 vertices")
-    covered = set().union(*(left | right for left, right in cover.bicliques))
-    members = []
-    texts = {}
-    for v, key in enumerate(zip(*_vertex_masks(cover, min(cover.n, len(covered) + 2)))):
-        s = TernaryString(cover.d, *key)
-        if key in texts:
-            raise ValueError(
-                f"vertices {texts[key]} and {v} are indistinguishable (both map to {s})"
-            )
-        texts[key] = v
-        members.append(s)
-    return Family(cover.d, tuple(members))
+    return _family_of(*_side_bits(cover.n, cover.bicliques))
 
 
 def verify_cover(cover: BicliqueCover, k: int) -> CoverReport:
     """Check that every edge of K_n is covered between 1 and k times; edge
     (u, v) is covered dist(u, v) times, the distance of the vertex words."""
     n, d = cover.n, cover.d
-    zs, os_ = _vertex_masks(cover, n)
+    zs = _transpose([_bits(left, n) for left, _ in cover.bicliques], n)
+    os_ = _transpose([_bits(right, n) for _, right in cover.bicliques], n)
     full = (1 << n) - 1
     edges = [0] * (d + 1)  # edges covered exactly m times
     rows = []

@@ -27,8 +27,10 @@ class NoValidSplit(ValueError):
     """Raised when no split parameter t exists (only happens at k = d)."""
 
 
-def strict_floor(x: Fraction) -> int:
-    """Largest integer strictly less than x."""
+def strict_floor(x) -> int:
+    """Largest integer strictly less than x, for any rational x: an int or
+    a ``fractions.Fraction``, say.  x has no annotation because naming
+    Fraction would import ``fractions`` with every command."""
     return math.ceil(x - 1)
 
 

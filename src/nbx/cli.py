@@ -32,11 +32,17 @@ def _load_family(path: str) -> families.Family:
     return families.Family.from_nbx(_read_text(path))
 
 
+_BLOCK = 4096  # encoder chunks or violation triples per write
+_BUDGET = 1 << 16  # bytes of text per write of a family writer; a longer item goes alone
+
+
 def _emit_family(fam: families.Family) -> None:
-    sys.stdout.write(fam.to_nbx())
-
-
-_BLOCK = 4096  # encoder chunks, violation triples or families per write
+    """``sys.stdout.write(fam.to_nbx())``, at most ``_BUDGET`` bytes of
+    members per write (one member when its line alone is longer): each
+    member's line is its d symbols and a newline."""
+    step = max(1, _BUDGET // (fam.dimension + 1))
+    for start in range(0, len(fam), step):
+        sys.stdout.write(fam.to_nbx(start, start + step))
 
 
 def _emit_json(data) -> None:
@@ -77,17 +83,22 @@ def _emit_report(report: families.NeighborlinessReport) -> None:
 
 def _emit_families(k: int, d: int, strings, found) -> None:
     """``_emit_json`` of the ``--enumerate`` payload for the families
-    ``found`` (tuples of indices into ``strings``), at most ``_BLOCK``
-    families per write.  json.dump puts each member on its own line, so a
-    family's text is its members' texts, looked up in a table and joined
-    in C."""
-    payload = {"k": k, "d": d, "size": len(found[0]), "count": len(found), "families": []}
+    ``found`` (tuples of indices into ``strings``): the head in one write,
+    then at most ``_BUDGET`` bytes of families per write (one family when
+    its text alone is longer).  json.dump puts each member on its own line,
+    so a family's text is its members' texts, looked up in a table and
+    joined in C; every member text has the same length."""
+    size = len(found[0])
+    payload = {"k": k, "d": d, "size": size, "count": len(found), "families": []}
     head = json.dumps(payload, indent=2)[:-4]  # cut '[]\n}' after "families"
     text = ['      "%s"' % w for w in strings]
     between = "\n    ],\n    [\n"  # ends a family, opens the next
-    sep = head + "[\n    [\n"
-    for start in range(0, len(found), _BLOCK):
-        block = [",\n".join(map(text.__getitem__, idxs)) for idxs in found[start : start + _BLOCK]]
+    per_family = size * (len(text[0]) + 2) - 2 + len(between)  # its members and a separator
+    step = max(1, _BUDGET // per_family)
+    sys.stdout.write(head + "[\n    [\n")
+    sep = ""
+    for start in range(0, len(found), step):
+        block = [",\n".join(map(text.__getitem__, idxs)) for idxs in found[start : start + step]]
         sys.stdout.write(sep + between.join(block))
         sep = between
     sys.stdout.write("\n    ]\n  ]\n}\n")
@@ -299,8 +310,10 @@ def _cmd_convert(args) -> int:
     if args.direction == "to-cover":
         _emit_cover(_load_family(args.file))
     else:
-        cover = biclique.BicliqueCover.from_dict(json.loads(_read_text(args.file)))
-        _emit_family(biclique.cover_to_family(cover))
+        # cover_to_family without the record; the parsed vertex lists are
+        # dropped once their bit-sets are made
+        sides = biclique._side_bits(*biclique._cover_fields(json.loads(_read_text(args.file))))
+        _emit_family(biclique._family_of(*sides))
     return 0
 
 
@@ -318,7 +331,7 @@ def _cmd_reduce(args) -> int:
     trace = families.reduce_to_trivial(fam)
     for step, f in enumerate(trace):
         sys.stdout.write(f"# step {step} size {len(f)}\n")
-        sys.stdout.write(f.to_nbx())
+        _emit_family(f)
     return 0
 
 

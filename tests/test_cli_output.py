@@ -6,8 +6,12 @@ convert to-cover`` its cover through ``cli._emit_cover``, and every other
 JSON command goes through ``cli._emit_json``.  Each must print exactly
 ``json.dumps(data, indent=2) + "\\n"``, one block at a time (for the
 report, one row or at most ``_BLOCK`` triples of a row; for the families,
-at most ``_BLOCK`` families; for the cover, one side), and a closed stdout
-must end the command with exit status 141 and nothing on stderr.
+the head alone and then at most ``_BUDGET`` bytes of families, or one
+family when it is longer; for the cover, one side).  The .nbx text of
+``construct``, ``reduce`` and ``convert to-family`` goes through
+``cli._emit_family`` in writes of at most ``_BUDGET`` bytes of members,
+or one member when its line is longer.  A closed stdout must end the
+command with exit status 141 and nothing on stderr.
 """
 
 import hashlib
@@ -247,14 +251,44 @@ def test_enumerate_prints_the_json_of_the_public_enumeration(k, d, capsys):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
-def test_enumerate_writes_one_block_of_families_at_a_time(monkeypatch):
-    strings, found = search._enumerate_indices(1, 4)
+def recorded_writes(monkeypatch, budget: int, writer, *args) -> list[str]:
+    """The writes of ``writer(*args)`` with ``cli._BUDGET`` set to ``budget``."""
     out = RecordingStdout()
-    monkeypatch.setattr(cli, "_BLOCK", 500)
+    monkeypatch.setattr(cli, "_BUDGET", budget)
     monkeypatch.setattr(sys, "stdout", out)
-    cli._emit_families(1, 4, strings, found)
-    # each family opens with "    [\n"; the head and the tail hold no such line
-    assert [w.count("    [\n") for w in out.writes] == [500, 500, 296, 0]
+    writer(*args)
+    monkeypatch.undo()
+    return out.writes
+
+
+@pytest.mark.parametrize("budget", [100, 4096, cli._BUDGET])
+def test_enumerate_writes_at_most_the_budget_per_write(budget, monkeypatch):
+    # a maximum (2,5) family and its separator are 192 bytes of text: under
+    # a budget of 100, each family goes out on its own
+    strings, found = search._enumerate_indices(2, 5)
+    writes = recorded_writes(monkeypatch, budget, cli._emit_families, 2, 5, strings, found)
+    text = "".join(writes)
+    between = "\n    ],\n    [\n"
+    family = len(text.split(between)[1]) + len(between)
+    assert family == 192
+    # the head goes out alone, then blocks of families, then the tail
+    assert writes[0].endswith('"families": [\n    [\n') and writes[0].count("\n") == 7
+    assert max(map(len, writes[1:])) <= budget + family
+    assert len(writes) == 2 + -(-len(found) // max(1, budget // family))
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == _ENUMERATE_PINS[1][2:]
+
+
+@pytest.mark.parametrize("budget", [1000, cli._BUDGET])
+def test_family_writer_writes_at_most_the_budget_per_write(budget, monkeypatch):
+    # each of the 2,001 lines of canonical(2000) is 2,001 bytes: under a
+    # budget of 1,000, each line goes out on its own
+    fam = constructions.canonical(2000)
+    writes = recorded_writes(monkeypatch, budget, cli._emit_family, fam)
+    assert max(map(len, writes)) <= budget + 2001
+    assert len(writes) == -(-2001 // max(1, budget // 2001))
+    text = "".join(writes).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (
+        4_004_001, "caf750b8be39309263093ec7a371db3f1a3ce14b67e9eb1156f4690582b966af")
 
 
 def converted_to_cover(text: str) -> tuple[int, str]:
@@ -386,6 +420,57 @@ def test_to_cover_memory_is_near_the_import(tmp_path):
     used = _nbx_max_rss(tmp_path, tmp_path / "cover.json", "convert", "to-cover", path.name)
     assert (tmp_path / "cover.json").stat().st_size == 1_075_845
     assert used - base < 4e6, (used, base)
+
+
+def test_to_family_memory_is_near_the_import(tmp_path):
+    # the same cover read back.  Parsed into 26 vertex frozensets, with each
+    # vertex's word set one bit at a time, it took this command about
+    # 11.7 MB above a bare `import nbx.cli` (CPython 3.11); from one bit-set
+    # per side, about 4.3 MB above it, little more than json.loads of the file
+    fam = constructions.extremal_dminus1(13)
+    path = tmp_path / "extremal13.json"
+    path.write_text(json.dumps(biclique.family_to_cover(fam).as_dict(), indent=2) + "\n")
+    base = _python_max_rss(tmp_path, tmp_path / "import.txt", "-c", "import nbx.cli")
+    used = _nbx_max_rss(tmp_path, tmp_path / "family.nbx", "convert", "to-family", path.name)
+    assert (tmp_path / "family.nbx").read_text() == fam.to_nbx()
+    assert used - base < 5e6, (used, base)
+
+
+def test_enumerate_memory_is_near_the_import(tmp_path):
+    # the 2,560 maximum (2,5) families.  Joined into one block of 491,594
+    # bytes, with the head in front of it and then encoded, they took this
+    # command about 2.5 MB above a bare `import nbx.cli` (CPython 3.11);
+    # written in blocks of at most _BUDGET bytes, about 1.1 MB above it
+    base = _python_max_rss(tmp_path, tmp_path / "import.txt", "-c", "import nbx.cli")
+    used = _nbx_max_rss(tmp_path, tmp_path / "families.json", "search", "2", "5", "--enumerate")
+    assert (tmp_path / "families.json").stat().st_size == 491_594
+    assert used - base < 1.8e6, (used, base)
+
+
+@pytest.mark.parametrize("cover", [
+    {"n": -1, "bicliques": [{"L": [0], "R": [0]}]},  # n before the sides
+    {"n": 3, "bicliques": [{"L": [0], "R": [1]}, {"L": [5], "R": [5]}]},  # meeting before range
+    {"n": 3, "bicliques": [{"L": [-1, 7], "R": []}]},  # the smallest vertex below 0
+    {"n": 3, "bicliques": [{"L": [7, 4], "R": [1]}]},  # else the largest
+    {"n": 1, "bicliques": [{"L": [0], "R": [3]}]},  # the sides before n >= 2
+    {"n": 0, "bicliques": []},
+    {"n": 4, "bicliques": [{"L": [0, 1], "R": [2]}]},  # 0 and 1 share a word
+    {"n": 10**30, "bicliques": [{"L": [0], "R": [10**29]}]},  # 1 and 2 are in no biclique
+    {"n": 3, "bicliques": [{"L": [0, 0], "R": [2]}, {"L": [1], "R": []}]},  # a repeated vertex
+], ids=["negative-n", "meet", "below-0", "too-large", "range-first", "n-0", "repeat",
+        "huge-n", "valid"])
+def test_to_family_matches_the_library(cover, tmp_path, capsys):
+    # the command converts the parsed lists without a BicliqueCover; its
+    # output and its error are those of cover_to_family(from_dict(cover))
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    try:
+        fam = biclique.cover_to_family(biclique.BicliqueCover.from_dict(cover))
+        expected = (0, fam.to_nbx(), "")
+    except ValueError as exc:
+        expected = (2, "", f"error: {exc}\n")
+    status = run(["convert", "to-family", str(path)])
+    assert (status, *capsys.readouterr()) == expected
 
 
 @pytest.mark.parametrize("pipeline, size, digest", [

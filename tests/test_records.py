@@ -5,18 +5,23 @@ in order, and survives ``pickle`` and ``copy.deepcopy``.  The exceptions
 are kept on purpose: the two reports compare by identity, and a search
 result ignores its ``stats`` in comparisons.  ``import nbx.cli`` loads none
 of ``dataclasses``, ``inspect`` and ``typing``, so every command starts
-without them.
+without them, and every annotation in nbx still resolves when
+``typing.get_type_hints`` asks for it.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import nbx
 from nbx import (
     BicliqueCover,
     Family,
@@ -227,3 +232,40 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def defined_functions():
+    """Every function and method defined in an nbx module: module-level
+    functions and, in each class, its functions, class and static methods
+    and property getters."""
+    for info in pkgutil.iter_modules(nbx.__path__):
+        module = importlib.import_module(f"nbx.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if callable(member) and hasattr(member, "__annotations__"):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_every_annotation_resolves():
+    # the modules annotate under `from __future__ import annotations`, so a
+    # name that was never imported fails only here
+    unresolved = []
+    checked = set()
+    for name, fn in defined_functions():
+        checked.add(name)
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:
+            unresolved.append(f"{name}: {exc!r}")
+    assert unresolved == []
+    assert {"nbx.bounds.strict_floor", "nbx.families.Family.to_nbx", "nbx.cli.run",
+            "nbx.biclique.BicliqueCover.from_dict", "nbx.strings.TernaryString.jokers"} <= checked
