@@ -160,19 +160,20 @@ def _side_bits(n: int, bicliques) -> tuple[int, list[int], list[int]]:
 
 def _family_of(m: int, lefts: list[int], rights: list[int]) -> Family:
     """The second half of ``cover_to_family``: the words of vertices
-    0..m-1, the transpose of the sides' bit-sets, up to the first repeat."""
+    0..m-1, the transpose of the sides' bit-sets.  ``Family`` rejects a
+    repeated word; only then are the words keyed again, to name the first
+    pair of vertices that share one."""
     d = len(lefts)
-    members = []
-    texts = {}
-    for v, key in enumerate(zip(_transpose(lefts, m), _transpose(rights, m))):
-        s = TernaryString(d, *key)
-        if key in texts:
-            raise ValueError(
-                f"vertices {texts[key]} and {v} are indistinguishable (both map to {s})"
-            )
-        texts[key] = v
-        members.append(s)
-    return Family(d, tuple(members))
+    try:  # the transposes go once the words are made, before Family keys them
+        return Family(d, tuple(map(TernaryString, repeat(d), _transpose(lefts, m),
+                                   _transpose(rights, m))))
+    except ValueError:
+        first = {}
+        for v, key in enumerate(zip(_transpose(lefts, m), _transpose(rights, m))):
+            if first.setdefault(key, v) != v:
+                raise ValueError(f"vertices {first[key]} and {v} are indistinguishable "
+                                 f"(both map to {TernaryString(d, *key)})") from None
+        raise
 
 
 def cover_to_family(cover: BicliqueCover) -> Family:

@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from collections.abc import Iterator
+from itertools import chain
 
 from . import biclique, bounds, constructions, families, search
 
@@ -32,82 +33,84 @@ def _load_family(path: str) -> families.Family:
     return families.Family.from_nbx(_read_text(path))
 
 
-_BLOCK = 4096  # encoder chunks or violation triples per write
-_BUDGET = 1 << 16  # bytes of text per write of a family writer; a longer item goes alone
+_BUDGET = 1 << 16  # bytes of text per write; a longer piece goes alone
+
+
+def _write(pieces) -> None:
+    """Write the text pieces to stdout, joined in C, once the pending text
+    reaches ``_BUDGET`` bytes: a write holds less than ``_BUDGET`` bytes
+    plus one piece, the output is never held whole, and no write is empty."""
+    pending, size = [], 0
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
+        if size >= _BUDGET:
+            sys.stdout.write("".join(pending))
+            pending, size = [], 0
+    if size:
+        sys.stdout.write("".join(pending))
+
+
+def _json_list(data: dict, items) -> Iterator[str]:
+    """The pieces of ``json.dump(data, indent=2)`` and a newline, where the
+    last field of ``data`` is ``[]`` standing for a list whose items are
+    ``items``: texts already rendered as json.dump puts them, at indent 4."""
+    head = json.dumps(data, indent=2)[:-4]  # cut '[]\n}' after the last key
+    sep = head + "[\n"
+    for item in items:
+        yield sep
+        yield item
+        sep = ",\n"
+    yield "\n  ]\n}\n" if sep == ",\n" else head + "[]\n}\n"
 
 
 def _emit_family(fam: families.Family) -> None:
-    """``sys.stdout.write(fam.to_nbx())``, at most ``_BUDGET`` bytes of
-    members per write (one member when its line alone is longer): each
-    member's line is its d symbols and a newline."""
-    step = max(1, _BUDGET // (fam.dimension + 1))
-    for start in range(0, len(fam), step):
-        sys.stdout.write(fam.to_nbx(start, start + step))
+    """``sys.stdout.write(fam.to_nbx())``, one piece per member."""
+    _write(f"{m}\n" for m in fam)
 
 
 def _emit_json(data) -> None:
-    """``json.dump(data, sys.stdout, indent=2)`` and a newline, in blocks."""
-    chunks = json.JSONEncoder(indent=2).iterencode(data)
-    while block := "".join(islice(chunks, _BLOCK)):
-        sys.stdout.write(block)
-    sys.stdout.write("\n")
+    """``json.dump(data, sys.stdout, indent=2)`` and a newline."""
+    _write(chain(json.JSONEncoder(indent=2).iterencode(data), ("\n",)))
 
 
 def _emit_report(report: families.NeighborlinessReport) -> None:
-    """``_emit_json(report.as_dict())``, with the violations written one row
-    at a time, or at most ``_BLOCK`` triples of a long row per write.
+    """``_emit_json(report.as_dict())``, one piece per violating row.
     json.dump puts each number of a triple on its own line, so a row's text
     is a lead for i and then, per triple, a column text and a distance text
     looked up in tables and joined in C."""
-    violations = report.violations
+
+    def rows():  # not called for a valid report, which builds no tables
+        col_text = ["%d,\n      " % j for j in range(report.violations._n)]
+        dist_text = ["%d\n    ]" % x for x in range(report.max_distance + 1)]
+        for i, js, dists in report.violations._expand():
+            lead = "    [\n      %d,\n      " % i
+            between = [text + ",\n" + lead for text in dist_text]  # ends a triple, opens the next
+            parts = [""] * (2 * len(js))
+            parts[0::2] = map(col_text.__getitem__, js)
+            parts[1::2] = map(between.__getitem__, dists)
+            parts[-1] = dist_text[dists[-1]]
+            yield lead + "".join(parts)
+
     empty = type(report)(report.is_valid, report.min_distance, report.max_distance, ())
-    head = json.dumps(empty.as_dict(), indent=2)[:-4]  # cut '[]\n}' after "violations"
-    sep = head + "[\n"
-    col_text = dist_text = None
-    for i, js, dists in violations._expand():
-        if col_text is None:  # a valid report builds no tables
-            col_text = ["%d,\n      " % j for j in range(violations._n)]
-            dist_text = ["%d\n    ]" % x for x in range(report.max_distance + 1)]
-        lead = "    [\n      %d,\n      " % i
-        between = [text + ",\n" + lead for text in dist_text]  # ends a triple, opens the next
-        for s in range(0, len(js), _BLOCK):
-            cols, ds = js[s : s + _BLOCK], dists[s : s + _BLOCK]
-            parts = [""] * (2 * len(cols))
-            parts[0::2] = map(col_text.__getitem__, cols)
-            parts[1::2] = map(between.__getitem__, ds)
-            parts[-1] = dist_text[ds[-1]]
-            sys.stdout.write(sep + lead + "".join(parts))
-            sep = ",\n"
-    sys.stdout.write("\n  ]\n}\n" if sep == ",\n" else head + "[]\n}\n")
+    _write(_json_list(empty.as_dict(), () if report.is_valid else rows()))
 
 
 def _emit_families(k: int, d: int, strings, found) -> None:
     """``_emit_json`` of the ``--enumerate`` payload for the families
-    ``found`` (tuples of indices into ``strings``): the head in one write,
-    then at most ``_BUDGET`` bytes of families per write (one family when
-    its text alone is longer).  json.dump puts each member on its own line,
-    so a family's text is its members' texts, looked up in a table and
-    joined in C; every member text has the same length."""
-    size = len(found[0])
-    payload = {"k": k, "d": d, "size": size, "count": len(found), "families": []}
-    head = json.dumps(payload, indent=2)[:-4]  # cut '[]\n}' after "families"
+    ``found`` (tuples of indices into ``strings``), one piece per family.
+    json.dump puts each member on its own line, so a family's text is its
+    members' texts, looked up in a table and joined in C."""
+    payload = {"k": k, "d": d, "size": len(found[0]), "count": len(found), "families": []}
     text = ['      "%s"' % w for w in strings]
-    between = "\n    ],\n    [\n"  # ends a family, opens the next
-    per_family = size * (len(text[0]) + 2) - 2 + len(between)  # its members and a separator
-    step = max(1, _BUDGET // per_family)
-    sys.stdout.write(head + "[\n    [\n")
-    sep = ""
-    for start in range(0, len(found), step):
-        block = [",\n".join(map(text.__getitem__, idxs)) for idxs in found[start : start + step]]
-        sys.stdout.write(sep + between.join(block))
-        sep = between
-    sys.stdout.write("\n    ]\n  ]\n}\n")
+    fams = ("    [\n%s\n    ]" % ",\n".join(map(text.__getitem__, idxs)) for idxs in found)
+    _write(_json_list(payload, fams))
 
 
 def _emit_cover(fam: families.Family) -> None:
     """``_emit_json(biclique.family_to_cover(fam).as_dict())``, written from
-    the family's coordinate bit-sets one side at a time: json.dump puts each
-    vertex on its own line, so a side's text is its vertices' texts,
+    the family's coordinate bit-sets, one piece per biclique: json.dump puts
+    each vertex on its own line, so a side's text is its vertices' texts,
     selected from a table by the side's bits and joined in C.  No cover
     record, vertex set or encoder is built."""
     columns = biclique._columns(fam)  # fewer than 2 members fails before any output
@@ -116,24 +119,18 @@ def _emit_cover(fam: families.Family) -> None:
     def side(mask: int) -> str:
         return "[\n" + ",\n".join(families._at_bits(mask, text)) + "\n      ]" if mask else "[]"
 
-    lead = '{\n  "n": %d,\n  "bicliques": [\n    {\n      "L": ' % len(fam)
-    for left, right in columns:
-        sys.stdout.write(lead + side(left))
-        sys.stdout.write(',\n      "R": ' + side(right))
-        lead = '\n    },\n    {\n      "L": '  # ends a biclique, opens the next
-    sys.stdout.write("\n    }\n  ]\n}\n")
+    bicliques = ('    {\n      "L": %s,\n      "R": %s\n    }' % (side(left), side(right))
+                 for left, right in columns)
+    _write(_json_list({"n": len(fam), "bicliques": []}, bicliques))
 
 
 def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
+    rows = [header, *rows]
     if fmt == "tsv":
-        sys.stdout.write("\t".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write("\t".join(row) + "\n")
+        _write("\t".join(row) + "\n" for row in rows)
         return
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    sys.stdout.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    for row in rows:
-        sys.stdout.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    _write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
 
 def _emit_table(args, records, header: list[str], row) -> None:
@@ -327,11 +324,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    fam = _load_family(args.file)
-    trace = families.reduce_to_trivial(fam)
-    for step, f in enumerate(trace):
-        sys.stdout.write(f"# step {step} size {len(f)}\n")
-        _emit_family(f)
+    trace = families.reduce_to_trivial(_load_family(args.file))
+    _write(piece for step, f in enumerate(trace)
+           for piece in chain((f"# step {step} size {len(f)}\n",), (f"{m}\n" for m in f)))
     return 0
 
 

@@ -94,9 +94,9 @@ class Family(_Record):
                 raise ValueError(f"line {lineno}: {exc}") from None
         return cls.of(members, dimension)
 
-    def to_nbx(self, start: int = 0, stop: int | None = None) -> str:
-        """The text of ``members[start:stop]``, one string per line."""
-        return "".join(f"{m}\n" for m in self.members[start:stop])
+    def to_nbx(self) -> str:
+        """The one-string-per-line text of the members."""
+        return "".join(f"{m}\n" for m in self.members)
 
     def texts(self) -> list[str]:
         return [str(m) for m in self.members]

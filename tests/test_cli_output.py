@@ -1,19 +1,22 @@
-"""The JSON writers of the command line, against ``json.dump``.
+"""The writers of the command line, against ``json.dump`` and pinned text.
 
 ``nbx verify`` writes its report through ``cli._emit_report``, ``nbx
 search --enumerate`` its families through ``cli._emit_families``, ``nbx
 convert to-cover`` its cover through ``cli._emit_cover``, and every other
 JSON command goes through ``cli._emit_json``.  Each must print exactly
-``json.dumps(data, indent=2) + "\\n"``, one block at a time (for the
-report, one row or at most ``_BLOCK`` triples of a row; for the families,
-the head alone and then at most ``_BUDGET`` bytes of families, or one
-family when it is longer; for the cover, one side).  The .nbx text of
-``construct``, ``reduce`` and ``convert to-family`` goes through
-``cli._emit_family`` in writes of at most ``_BUDGET`` bytes of members,
-or one member when its line is longer.  A closed stdout must end the
-command with exit status 141 and nothing on stderr.
+``json.dumps(data, indent=2) + "\\n"``.  The .nbx text of ``construct``
+and ``convert to-family`` goes through ``cli._emit_family``, ``reduce``
+writes its steps, and TSV and aligned tables go through ``cli._rows_out``.
+Every one of them only yields text pieces (a member, a family, a
+violating row, a biclique, a table row, an encoder chunk) to the one
+stdout writer, ``cli._write``, which writes once the pending text reaches
+``cli._BUDGET`` (64 KiB): no write is empty, and none holds more than the
+budget plus one piece.  A closed stdout must end the command with exit
+status 141 and nothing on stderr.
 """
 
+import argparse
+import functools
 import hashlib
 import io
 import json
@@ -32,7 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nbx import Family, SearchConfig, verify_neighborly
 from nbx import biclique, bounds, cli, constructions, search
-from nbx.cli import _BLOCK, _emit_json, _emit_report, run
+from nbx.cli import _emit_json, _emit_report, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,8 +74,8 @@ def joker_family(count: int, at: int, d: int = 14) -> Family:
 @given(st.sampled_from([0, 1, 2, 3, 4095, 4096, 4097, 8192]), st.integers(0, 2**32))
 @example(0, 0)  # a single-member family
 @example(1, 0)
-@example(4097, 0)  # one row longer than a block
-@example(8192, 0)  # one row of two full blocks
+@example(4097, 0)  # one row longer than the budget, 4,097 triples
+@example(8192, 0)
 @example(4097, 4097)  # one violation per row
 @example(4096, 1000)
 def test_report_writer_matches_json_dump(count, seed):
@@ -97,7 +100,7 @@ def test_report_of_a_single_member_family():
     assert printed(_emit_report, report) == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
 @pytest.mark.parametrize("joker_first", [True, False])
 def test_verify_prints_the_json_report(count, joker_first, tmp_path, capsys):
     # `count` violations, in one row (joker first) or one per row (joker last)
@@ -132,26 +135,6 @@ def test_verify_memory_does_not_grow_with_the_violations(tmp_path):
         tracemalloc.stop()
     assert len(verify_neighborly(Family.of(words), 5).violations) == 120_588
     assert peak < 13.1e6 / 4, peak
-
-
-def test_report_writer_writes_one_block_at_a_time(monkeypatch):
-    report = verify_neighborly(joker_family(2 * _BLOCK + 1, 0), 14)
-    out = RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", out)
-    _emit_report(report)
-    # each triple opens with "    [\n"; the head holds no such line
-    per_write = [w.count("    [\n") for w in out.writes]
-    assert per_write == [_BLOCK, _BLOCK, 1, 0]
-    assert "".join(out.writes) == json.dumps(report.as_dict(), indent=2) + "\n"
-
-
-def test_json_writer_writes_in_blocks(monkeypatch):
-    data = {"values": list(range(3 * _BLOCK)), "text": "é\t\"", "x": [1.5, None, True]}
-    out = RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", out)
-    _emit_json(data)
-    assert "".join(out.writes) == json.dumps(data, indent=2) + "\n"
-    assert 2 < len(out.writes) < 3 * _BLOCK  # blocks of chunks, neither one write nor one per chunk
 
 
 def test_json_writer_matches_json_dump_on_every_payload():
@@ -202,12 +185,12 @@ def test_bounds_grid_output_is_pinned(args, size, digest, capsys):
 @pytest.mark.parametrize("family, k, size, digest", [
     (lambda: constructions.extremal_dminus1(10), 7, 311_723,
      "f58efa6f11539dbb29d2d6380ba422810c4632d7868e9227ca21418df6f394bf"),
-    (lambda: joker_family(_BLOCK + 1, 0, 13), 13, 171_053,
+    (lambda: joker_family(4097, 0, 13), 13, 171_053,
      "d116150ea2f2c7d4f29cc2ea7b3179991727aa37b61fcc909a505ce5198d4ceb"),
 ], ids=["extremal-10-k7", "joker-row-over-a-block"])
 def test_verify_output_is_pinned(family, k, size, digest, tmp_path, capsys):
     # independent of `as_dict`: extremal(10) at k = 7 has 7,296 violations
-    # in rows up to 19 long; the joker family has one row of _BLOCK + 1
+    # in rows up to 19 long; the joker family has one row of 4,097
     path = tmp_path / "fam.nbx"
     path.write_text(family().to_nbx())
     assert run(["verify", str(path), "--k", str(k)]) == 1
@@ -251,44 +234,77 @@ def test_enumerate_prints_the_json_of_the_public_enumeration(k, d, capsys):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
-def recorded_writes(monkeypatch, budget: int, writer, *args) -> list[str]:
-    """The writes of ``writer(*args)`` with ``cli._BUDGET`` set to ``budget``."""
+def fingerprint(text: str) -> tuple[int, str]:
+    data = text.encode()
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def dumped(data) -> tuple[int, str]:
+    return fingerprint(json.dumps(data, indent=2) + "\n")
+
+
+def reduced(text: str) -> None:
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        cli._cmd_reduce(argparse.Namespace(file="-"))
+
+
+@functools.cache
+def writer_case(name: str):
+    """``(writer, args, fingerprint of its whole output)`` for one writer."""
+    if name == "family":  # each of the 2,001 lines of canonical(2000) is 2,001 bytes
+        return cli._emit_family, (constructions.canonical(2000),), (
+            4_004_001, "caf750b8be39309263093ec7a371db3f1a3ce14b67e9eb1156f4690582b966af")
+    if name == "json":
+        data = {"values": list(range(12_288)), "text": "é\t\"", "x": [1.5, None, True]}
+        return _emit_json, (data,), dumped(data)
+    if name == "report":  # 4,096 rows of one triple, then one row of 4,097
+        report = verify_neighborly(joker_family(8193, 4096), 14)
+        return _emit_report, (report,), dumped(report.as_dict())
+    if name == "families":  # a maximum (2,5) family is 192 bytes of text
+        strings, found = search._enumerate_indices(2, 5)
+        return cli._emit_families, (2, 5, strings, found), tuple(_ENUMERATE_PINS[1][2:])
+    if name == "cover":  # a biclique of extremal(10) is about 7.7 kB of text
+        fam = constructions.extremal_dminus1(10)
+        return cli._emit_cover, (fam,), dumped(biclique.family_to_cover(fam).as_dict())
+    if name == "table":  # the pin of `table --kmax 40 --dmax 40 --tsv`
+        rows = [cli._entry_row(e) for e in bounds.bounds_table(40, 40)]
+        return cli._rows_out, (rows, cli._TABLE_HEADER, "tsv"), (
+            39_059, "04f7d5f26618694ec4d0f47798cf5fb5f655b81fa05e7f84eb83c917184cefe9")
+    # reduce: the pin of `construct extremal 5 | reduce -`
+    return reduced, (constructions.extremal_dminus1(5).to_nbx(),), (
+        2_213, "e1a514c863efe63ccba34f602473c96889f06b11ae27f257d0ff0f30bfd3eb7d")
+
+
+def recorded_writes(monkeypatch, budget: int, writer, *args) -> tuple[list[str], int]:
+    """The writes of ``writer(*args)`` with ``cli._BUDGET`` set to
+    ``budget``, and the length of the longest piece given to ``cli._write``."""
     out = RecordingStdout()
+    write, longest = cli._write, 0
+
+    def recorded(pieces):
+        nonlocal longest
+        pieces = list(pieces)
+        longest = max([longest, *map(len, pieces)])
+        write(pieces)
+
     monkeypatch.setattr(cli, "_BUDGET", budget)
+    monkeypatch.setattr(cli, "_write", recorded)
     monkeypatch.setattr(sys, "stdout", out)
     writer(*args)
     monkeypatch.undo()
-    return out.writes
+    return out.writes, longest
 
 
 @pytest.mark.parametrize("budget", [100, 4096, cli._BUDGET])
-def test_enumerate_writes_at_most_the_budget_per_write(budget, monkeypatch):
-    # a maximum (2,5) family and its separator are 192 bytes of text: under
-    # a budget of 100, each family goes out on its own
-    strings, found = search._enumerate_indices(2, 5)
-    writes = recorded_writes(monkeypatch, budget, cli._emit_families, 2, 5, strings, found)
-    text = "".join(writes)
-    between = "\n    ],\n    [\n"
-    family = len(text.split(between)[1]) + len(between)
-    assert family == 192
-    # the head goes out alone, then blocks of families, then the tail
-    assert writes[0].endswith('"families": [\n    [\n') and writes[0].count("\n") == 7
-    assert max(map(len, writes[1:])) <= budget + family
-    assert len(writes) == 2 + -(-len(found) // max(1, budget // family))
-    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == _ENUMERATE_PINS[1][2:]
-
-
-@pytest.mark.parametrize("budget", [1000, cli._BUDGET])
-def test_family_writer_writes_at_most_the_budget_per_write(budget, monkeypatch):
-    # each of the 2,001 lines of canonical(2000) is 2,001 bytes: under a
-    # budget of 1,000, each line goes out on its own
-    fam = constructions.canonical(2000)
-    writes = recorded_writes(monkeypatch, budget, cli._emit_family, fam)
-    assert max(map(len, writes)) <= budget + 2001
-    assert len(writes) == -(-2001 // max(1, budget // 2001))
-    text = "".join(writes).encode()
-    assert (len(text), hashlib.sha256(text).hexdigest()) == (
-        4_004_001, "caf750b8be39309263093ec7a371db3f1a3ce14b67e9eb1156f4690582b966af")
+@pytest.mark.parametrize("name", ["family", "json", "report", "families", "cover", "table",
+                                  "reduce"])
+def test_every_writer_writes_at_most_the_budget_plus_a_piece(name, budget, monkeypatch):
+    writer, args, expected = writer_case(name)
+    writes, longest = recorded_writes(monkeypatch, budget, writer, *args)
+    assert fingerprint("".join(writes)) == expected
+    assert all(writes) and max(map(len, writes)) <= budget + longest
+    # a write goes out once the budget is reached, so only the last is short
+    assert all(len(w) >= budget for w in writes[:-1])
 
 
 def converted_to_cover(text: str) -> tuple[int, str]:
@@ -329,17 +345,6 @@ def test_cover_of_fewer_than_two_members_is_refused(text, capsys):
     assert converted_to_cover(text) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_cover_writer_writes_one_side_at_a_time(monkeypatch):
-    fam = constructions.extremal_dminus1(5)
-    out = RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", out)
-    cli._emit_cover(fam)
-    # one write per side, and one for the tail
-    assert len(out.writes) == 2 * fam.dimension + 1
-    expected = json.dumps(biclique.family_to_cover(fam).as_dict(), indent=2) + "\n"
-    assert "".join(out.writes) == expected
 
 
 def test_cover_of_a_shuffled_extremal_13_is_pinned(tmp_path, capsys):
@@ -426,7 +431,8 @@ def test_to_family_memory_is_near_the_import(tmp_path):
     # the same cover read back.  Parsed into 26 vertex frozensets, with each
     # vertex's word set one bit at a time, it took this command about
     # 11.7 MB above a bare `import nbx.cli` (CPython 3.11); from one bit-set
-    # per side, about 4.3 MB above it, little more than json.loads of the file
+    # per side, about 3.7 MB above it, little more than json.loads of the
+    # file, which sets the peak
     fam = constructions.extremal_dminus1(13)
     path = tmp_path / "extremal13.json"
     path.write_text(json.dumps(biclique.family_to_cover(fam).as_dict(), indent=2) + "\n")
