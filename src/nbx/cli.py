@@ -168,29 +168,40 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--dmax", type=int, default=8)
 
     con = sub.add_parser("construct", help="emit a constructed family as .nbx")
+    con.set_defaults(handler=_cmd_construct)
     consub = con.add_subparsers(dest="kind", required=True)
     p = consub.add_parser("canonical", help="chain family of size d+1")
     p.add_argument("d", type=int)
-    consub.add_parser("ball", help="Hamming ball family for (k, d)", parents=[cell])
+    p.set_defaults(build=lambda a: constructions.canonical(a.d))
+    p = consub.add_parser("ball", help="Hamming ball family for (k, d)", parents=[cell])
+    p.set_defaults(build=lambda a: constructions.ball_family(a.k, a.d))
     p = consub.add_parser("extremal", help="maximum (d-1)-neighborly family")
     p.add_argument("d", type=int)
-    consub.add_parser("mbar", help="best fragmented-product family for (k, d)", parents=[cell])
+    p.set_defaults(build=lambda a: constructions.extremal_dminus1(a.d))
+    p = consub.add_parser("mbar", help="best fragmented-product family for (k, d)", parents=[cell])
+    p.set_defaults(build=lambda a: constructions.realize_mbar(a.k, a.d))
     p = consub.add_parser("fragmented", help="fragmented construction for a block plan",
                           parents=[cell])
     p.add_argument("--a", type=_block_lengths,
                    help="comma-separated block lengths, one per block (default: optimal plan)")
+    p.set_defaults(build=lambda a: constructions.fragmented(constructions.m_value(a.k, a.d).plan
+                   if a.a is None else constructions.FragmentPlan(a.k, a.d, len(a.a), a.a)))
     p = consub.add_parser("product", help="concatenation product of two .nbx files")
     p.add_argument("left")
     p.add_argument("right")
+    p.set_defaults(build=lambda a: constructions.product(*map(_load_family, (a.left, a.right))))
 
     p = sub.add_parser("verify", help="check a family for k-neighborliness")
     p.add_argument("file", help=".nbx file or - for stdin")
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(handler=_cmd_verify)
 
-    sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)",
-                   parents=[table_out, cell])
-    sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax",
-                   parents=[table_out, grid])
+    p = sub.add_parser("bounds", help="best lower/upper bounds for one (k, d)",
+                       parents=[table_out, cell])
+    p.set_defaults(handler=_cmd_bounds)
+    p = sub.add_parser("table", help="bounds grid over 1 <= k <= min(d, kmax), d <= dmax",
+                       parents=[table_out, grid])
+    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("search", help="exact maximum family search", parents=[cell])
     p.add_argument("--budget-nodes", type=int, default=None)
@@ -199,43 +210,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every maximum family")
     p.add_argument("--force", action="store_true", help="lift the candidate and enumeration caps")
+    p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("mkd", help="fragmented-construction optimum m(k, d)", parents=[cell])
     p.add_argument("--mbar", action="store_true", help="optimize over splits of (k, d)")
+    p.set_defaults(handler=_cmd_mkd)
 
     p = sub.add_parser("convert", help="convert between .nbx and biclique-cover JSON")
+    p.set_defaults(handler=_cmd_convert)
     convsub = p.add_subparsers(dest="direction", required=True)
     q = convsub.add_parser("to-cover")
     q.add_argument("file", help=".nbx file or - for stdin")
     q = convsub.add_parser("to-family")
     q.add_argument("file", help="cover JSON file or - for stdin")
 
-    sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
-                   parents=[table_out, grid])
+    p = sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
+                       parents=[table_out, grid])
+    p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("reduce", help="twin-merge a partition down to the all-joker string")
     p.add_argument("file", help=".nbx file or - for stdin")
+    p.set_defaults(handler=_cmd_reduce)
 
     return parser
 
 
 def _cmd_construct(args) -> int:
-    if args.kind == "canonical":
-        _emit_family(constructions.canonical(args.d))
-    elif args.kind == "ball":
-        _emit_family(constructions.ball_family(args.k, args.d))
-    elif args.kind == "extremal":
-        _emit_family(constructions.extremal_dminus1(args.d))
-    elif args.kind == "mbar":
-        _emit_family(constructions.realize_mbar(args.k, args.d))
-    elif args.kind == "fragmented":
-        if args.a is None:
-            plan = constructions.m_value(args.k, args.d).plan
-        else:
-            plan = constructions.FragmentPlan(args.k, args.d, len(args.a), args.a)
-        _emit_family(constructions.fragmented(plan))
-    else:  # product
-        _emit_family(constructions.product(_load_family(args.left), _load_family(args.right)))
+    _emit_family(args.build(args))
     return 0
 
 
@@ -330,19 +331,6 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-    "table": _cmd_table,
-    "search": _cmd_search,
-    "mkd": _cmd_mkd,
-    "convert": _cmd_convert,
-    "audit": _cmd_audit,
-    "reduce": _cmd_reduce,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command; returns the exit status."""
     parser = _build_parser()
@@ -351,7 +339,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BrokenPipeError:
         raise  # a closed stdout is not a usage error: main ends quietly
     except (search.CapacityExceeded, search.EnumerationCapExceeded) as exc:

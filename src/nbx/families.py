@@ -77,7 +77,7 @@ class Family(_Record):
         return cls(dimension, parsed)
 
     @classmethod
-    def from_nbx(cls, text: str, dimension: int | None = None) -> "Family":
+    def from_nbx(cls, text: str) -> "Family":
         """Parse the one-string-per-line text format.
 
         Blank lines are ignored and lines whose first non-space character
@@ -92,7 +92,7 @@ class Family(_Record):
                 members.append(TernaryString.parse(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-        return cls.of(members, dimension)
+        return cls.of(members)
 
     def to_nbx(self) -> str:
         """The one-string-per-line text of the members."""

@@ -317,6 +317,31 @@ class TestUsage:
     def test_no_command(self):
         assert run([]) == 2
 
+    @pytest.mark.parametrize("command", ["construct", "convert"])
+    def test_missing_kind(self, capsys, command):
+        # a command without its kind stops in the parser: nothing on stdout,
+        # a usage line and one error line on stderr
+        assert run([command]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: nbx {command} [-h]")
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert lines[-1].startswith(f"nbx {command}: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["construct"], ["verify"], ["bounds"], ["table"], ["search"], ["mkd"], ["convert"],
+        ["audit"], ["reduce"],
+        *(["construct", kind]
+          for kind in ["canonical", "ball", "extremal", "mbar", "fragmented", "product"]),
+        ["convert", "to-cover"], ["convert", "to-family"],
+    ])
+    def test_help_names_its_command(self, capsys, argv):
+        assert run([*argv, "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: nbx", *argv, "[-h]"]))
+        assert err == ""
+
     @pytest.mark.parametrize("argv, k, d", [
         ("search 0 3", 0, 3),
         ("search 4 3 --enumerate", 4, 3),
