@@ -55,7 +55,6 @@ from .families import (
 )
 from .search import (
     CapacityExceeded,
-    EnumerationCapExceeded,
     EnumerationIncomplete,
     SearchConfig,
     SearchResult,
@@ -78,8 +77,7 @@ __all__ = [
     "kappa", "alon_lower", "alon_upper", "huang_sudakov_upper", "ball_lower",
     "split_upper", "split_upper_best", "greedy_kappa_upper", "refined_upper",
     "best_bounds", "bounds_table", "pascal_audit", "strict_floor",
-    "SearchConfig", "SearchResult", "CapacityExceeded", "EnumerationCapExceeded",
-    "EnumerationIncomplete",
+    "SearchConfig", "SearchResult", "CapacityExceeded", "EnumerationIncomplete",
     "enumerate_candidates", "max_family", "enumerate_max_families",
     "verify_certificate",
     "BicliqueCover", "CoverReport", "family_to_cover", "cover_to_family",

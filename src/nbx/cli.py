@@ -219,9 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert between .nbx and biclique-cover JSON")
     p.set_defaults(handler=_cmd_convert)
     convsub = p.add_subparsers(dest="direction", required=True)
-    q = convsub.add_parser("to-cover")
+    q = convsub.add_parser("to-cover", help=".nbx family to biclique-cover JSON")
     q.add_argument("file", help=".nbx file or - for stdin")
-    q = convsub.add_parser("to-family")
+    q = convsub.add_parser("to-family", help="biclique-cover JSON to .nbx family")
     q.add_argument("file", help="cover JSON file or - for stdin")
 
     p = sub.add_parser("audit", help="triangle-inequality audit of the bounds grid",
@@ -281,16 +281,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    uncapped = {"max_candidates": 1 << 62} if args.force else {}
     cfg = search.SearchConfig(
         budget_nodes=args.budget_nodes,
         budget_secs=args.budget_secs,
         symmetry=not args.no_symmetry,
-        **uncapped,
+        capped=not args.force,
     )
     if args.enumerate_all:
-        lifted = {"cap": 1 << 62} if args.force else {}
-        strings, found = search._enumerate_indices(args.k, args.d, cfg, **lifted)
+        strings, found = search._enumerate_indices(args.k, args.d, cfg)
         _emit_families(args.k, args.d, strings, found)
         return 0
     result = search.max_family(args.k, args.d, cfg)
@@ -342,7 +340,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         raise  # a closed stdout is not a usage error: main ends quietly
-    except (search.CapacityExceeded, search.EnumerationCapExceeded) as exc:
+    except search.CapacityExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return 2
     except (search.EnumerationIncomplete, ValueError, OSError) as exc:

@@ -394,16 +394,13 @@ def reduce_to_trivial(family: Family) -> list[Family]:
     while len(current) > 1:
         pivot_idx = min(range(len(current)), key=lambda idx: current[idx].jokers)
         pivot = current[pivot_idx]
-        twin_idx = None
-        for idx, cand in enumerate(current):
-            if idx != pivot_idx and pivot.is_twin(cand):
-                twin_idx = idx
-                break
+        twin_idx = next((idx for idx, cand in enumerate(current)
+                         if idx != pivot_idx and pivot.is_twin(cand)), None)
         if twin_idx is None:
             raise ValueError(f"no twin found for {pivot}; the family is not reducible")
         lo, hi = sorted((pivot_idx, twin_idx))
-        merged = current[lo].twin_union(current[hi])
-        current = current[:lo] + [merged] + current[lo + 1 : hi] + current[hi + 1 :]
+        current[lo] = current[lo].twin_union(current[hi])
+        del current[hi]
         trace.append(Family(family.dimension, tuple(current)))
     return trace
 

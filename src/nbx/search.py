@@ -49,13 +49,13 @@ from .constructions import realize_mbar
 from .families import Family, _check_kd, _distance_rows, _outside, verify_neighborly
 from .strings import TernaryString, _Record, all_strings
 
+# what a capped search refuses beyond (SearchConfig.capped)
+_MAX_CANDIDATES = 60_000
+_MAX_FAMILIES = 100_000
+
 
 class CapacityExceeded(RuntimeError):
-    """Candidate set larger than the configured capacity."""
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """More maximum families than the enumeration cap."""
+    """More candidates or maximum families than a capped search allows."""
 
 
 class EnumerationIncomplete(RuntimeError):
@@ -68,16 +68,16 @@ class SearchConfig(_Record):
     budget_nodes: stop after this many walk nodes (None: no limit).
     budget_secs: stop this many seconds after entry (None: no limit).
     symmetry: prune by orbital branching; off, the walk is the plain clique search.
-    max_candidates: refuse a larger candidate set with ``CapacityExceeded``.
+    capped: refuse more than ``_MAX_CANDIDATES`` candidates or ``_MAX_FAMILIES``
+        maximum families with ``CapacityExceeded``; ``nbx search --force`` is False.
     use_known_bounds: seed with ``realize_mbar``, stop at ``best_bounds(k, d).upper``.
     """
 
-    __slots__ = ("budget_nodes", "budget_secs", "symmetry", "max_candidates", "use_known_bounds")
+    __slots__ = ("budget_nodes", "budget_secs", "symmetry", "capped", "use_known_bounds")
 
     def __init__(self, budget_nodes: int | None = None, budget_secs: float | None = None,
-                 symmetry: bool = True, max_candidates: int = 60_000,
-                 use_known_bounds: bool = True):
-        self._init(budget_nodes, budget_secs, symmetry, max_candidates, use_known_bounds)
+                 symmetry: bool = True, capped: bool = True, use_known_bounds: bool = True):
+        self._init(budget_nodes, budget_secs, symmetry, capped, use_known_bounds)
         if self.budget_nodes is not None and self.budget_nodes <= 0:
             raise ValueError("budget_nodes must be positive")
         if self.budget_secs is not None and not 0 < self.budget_secs < float("inf"):
@@ -173,21 +173,21 @@ class _Engine:
         if self.best >= self.cutoff:
             raise _Stop("cutoff")
 
-    def _volume_room(self, pool: int, cap: int) -> int:
+    def _volume_room(self, pool: int, free: int) -> int:
         """Upper bound on how many pool members any disjoint extension can
-        add within the remaining cube capacity (cheapest volumes first)."""
+        add within the free cube volume ``free`` (cheapest volumes first)."""
         extra = 0
         for j, bucket in enumerate(self.buckets):
-            if cap < (1 << j):
+            if free < (1 << j):
                 break
             hit = pool & bucket
             if not hit:
                 continue
             c = hit.bit_count()
-            fit = cap >> j
+            fit = free >> j
             if fit >= c:
                 extra += c
-                cap -= c << j
+                free -= c << j
             else:
                 extra += fit
                 break
@@ -308,13 +308,13 @@ class _Enumerator(_Engine):
     recorded in ``found`` as the tuple of its walk vertices, in stack order;
     a larger one drops those and raises ``best``.  From a ``target`` at most
     the clique number it ends with every maximum clique (with ``words``, at
-    least one per orbit).  ``cap`` counts those of the current size: the
+    least one per orbit).  ``limit`` counts those of the current size: the
     final count when the seed is optimal, as on every cell so far."""
 
-    def __init__(self, nadj, vols, cube_volume, target, cap, budget_nodes, deadline, words=None):
+    def __init__(self, nadj, vols, cube_volume, target, limit, budget_nodes, deadline, words=None):
         super().__init__(nadj, vols, cube_volume, target, budget_nodes, deadline, words)
         self.best = target - 1
-        self.cap = cap
+        self.limit = limit
         self.found: list[tuple[int, ...]] = []
 
     def _improve(self, stack: list[int]):
@@ -322,8 +322,8 @@ class _Enumerator(_Engine):
             self.found.clear()
             self.best = len(stack) - 1
         self.found.append(tuple(stack))
-        if len(self.found) > self.cap:
-            raise EnumerationCapExceeded(f"more than {self.cap} maximum families")
+        if len(self.found) > self.limit:
+            raise CapacityExceeded(f"more than {self.limit} maximum families")
 
 
 def _build_graph(strings: list[TernaryString], k: int, deadline=None):
@@ -359,10 +359,10 @@ def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]
     (C(d, j)·2^(d-j) with j jokers) before any is built."""
     _check_kd(k, d)
     n = sum(comb(d, j) << d - j for j in range(d - k + 1))
-    if n > cfg.max_candidates:
+    if cfg.capped and n > _MAX_CANDIDATES:
         raise CapacityExceeded(
             f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
-            f" capacity {cfg.max_candidates}"
+            f" capacity {_MAX_CANDIDATES}"
         )
     return enumerate_candidates(k, d)
 
@@ -410,9 +410,7 @@ def max_family(k: int, d: int, cfg: SearchConfig | None = None) -> SearchResult:
     return SearchResult(k, d, len(witness), witness, proven, stats)
 
 
-def enumerate_max_families(
-    k: int, d: int, cfg: SearchConfig | None = None, cap: int = 100_000
-) -> list[Family]:
+def enumerate_max_families(k: int, d: int, cfg: SearchConfig | None = None) -> list[Family]:
     """Every maximum k-neighborly family in dimension d, as member sets.
 
     One walk in enumeration mode, from the constructed seed's size (1
@@ -420,20 +418,20 @@ def enumerate_max_families(
     cliques of that size.  With symmetry it prunes by orbits and records at
     least one family per isomorphism class; closing those under three
     generators of the coordinate permutations and flips gives every labelled
-    family, at a cost that grows with their count, not with d!·2^d.  ``cap``
-    bounds the count of families and ``budget_nodes`` the walk.
+    family, at a cost that grows with their count, not with d!·2^d.
+    ``capped`` bounds the count of families and ``budget_nodes`` the walk.
     ``budget_secs`` counts from entry: graph build, walk and closure.  The
     list is in text order, as is each family, so it depends only on the set
     of maximum families and not on how the walk numbers its vertices.  The
     families are built from ``_enumerate_indices``, which ``nbx search
     --enumerate`` writes from directly.
     """
-    strings, found = _enumerate_indices(k, d, cfg, cap)
+    strings, found = _enumerate_indices(k, d, cfg)
     return [Family(d, tuple(strings[i] for i in idxs)) for idxs in found]
 
 
 def _enumerate_indices(
-    k: int, d: int, cfg: SearchConfig | None = None, cap: int = 100_000
+    k: int, d: int, cfg: SearchConfig | None = None
 ) -> tuple[list[TernaryString], list[tuple[int, ...]]]:
     """The enumeration behind ``enumerate_max_families``, as ``(strings,
     found)``: the candidates in text order, and every maximum family as the
@@ -441,10 +439,11 @@ def _enumerate_indices(
     cfg = cfg or SearchConfig()
     deadline = None if cfg.budget_secs is None else time.monotonic() + cfg.budget_secs
     strings = _search_candidates(k, d, cfg)
+    limit = _MAX_FAMILIES if cfg.capped else float("inf")
     target = len(realize_mbar(k, d)) if cfg.use_known_bounds else 1
     try:
         order, nadj, vols, words = _build_graph(strings, k, deadline)
-        engine = _Enumerator(nadj, vols, 1 << d, target, cap, cfg.budget_nodes, deadline,
+        engine = _Enumerator(nadj, vols, 1 << d, target, limit, cfg.budget_nodes, deadline,
                              words if cfg.symmetry else None)
         engine.run()
     except _Stop as exc:
@@ -458,11 +457,11 @@ def _enumerate_indices(
         if not verify_neighborly(Family(d, tuple(strings[i] for i in idxs)), k).is_valid:
             raise AssertionError("internal error: enumerated family fails verification")
     if cfg.symmetry:
-        found = _close_under_group(found, strings, d, cap, deadline)
+        found = _close_under_group(found, strings, d, limit, deadline)
     return strings, sorted(found)
 
 
-def _close_under_group(families, strings, d: int, cap: int, deadline) -> set[tuple[int, ...]]:
+def _close_under_group(families, strings, d: int, limit: float, deadline) -> set[tuple[int, ...]]:
     """Every image of the families (sorted tuples of indices into ``strings``)
     under the d!·2^d coordinate permutations and 0/1 flips: a worklist
     closure under the cycle of all d coordinates, the swap of coordinates 0
@@ -487,8 +486,8 @@ def _close_under_group(families, strings, d: int, cap: int, deadline) -> set[tup
             if image not in closure:
                 closure.add(image)
                 work.append(image)
-                if len(closure) > cap:
-                    raise EnumerationCapExceeded(f"more than {cap} maximum families")
+                if len(closure) > limit:
+                    raise CapacityExceeded(f"more than {limit} maximum families")
     return closure
 
 

@@ -1,4 +1,3 @@
-import inspect
 import io
 import json
 
@@ -158,19 +157,18 @@ class TestSearchCommand:
 
     def test_force_lifts_the_enumeration_cap(self, capsys, monkeypatch):
         enumerate_all = search._enumerate_indices
-        default = inspect.signature(enumerate_all).parameters["cap"].default
-        caps = []
+        configs = []
 
-        def recording(k, d, cfg, cap=default):
-            caps.append(cap)
-            return enumerate_all(k, d, cfg, cap)
+        def recording(k, d, cfg):
+            configs.append(cfg)
+            return enumerate_all(k, d, cfg)
 
         monkeypatch.setattr(search, "_enumerate_indices", recording)
         assert run(["search", "1", "4", "--enumerate"]) == 0
         plain = out_of(capsys)
         assert run(["search", "1", "4", "--enumerate", "--force"]) == 0
         assert out_of(capsys) == plain
-        assert caps == [100_000, 1 << 62]
+        assert configs == [search.SearchConfig(), search.SearchConfig(capped=False)]
         assert json.loads(plain)["count"] == 1296
 
     def test_non_finite_budget_refused(self, capsys):
@@ -194,13 +192,11 @@ class TestSearchCommand:
             run(["search", "2", "3"])
 
     def test_enumeration_cap_refused_without_force(self, capsys, monkeypatch):
-        # the 48 maximum (2,4) families exceed a cap of 47
-        enumerate_all = search._enumerate_indices
-        monkeypatch.setattr(search, "_enumerate_indices",
-                            lambda k, d, cfg, cap=47: enumerate_all(k, d, cfg, 47))
+        # the 48 maximum (2,4) families exceed a limit of 47
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 47)
         assert run(["search", "2", "4", "--enumerate"]) == 2
-        err = capsys.readouterr().err
-        assert "more than 47 maximum families" in err and "--force" in err
+        assert capsys.readouterr() == (
+            "", "error: more than 47 maximum families (use --force to override)\n")
 
     def test_capacity_refused_without_force(self, capsys):
         # (2, 11) has 177,124 candidates, beyond the 60,000 default
@@ -341,6 +337,13 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out.startswith(" ".join(["usage: nbx", *argv, "[-h]"]))
         assert err == ""
+
+    def test_convert_help_describes_both_directions(self, capsys):
+        assert run(["convert", "-h"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for direction in ("to-cover", "to-family"):
+            (line,) = [line for line in lines if line.split()[:1] == [direction]]
+            assert len(line.split()) > 1, line
 
     @pytest.mark.parametrize("argv, k, d", [
         ("search 0 3", 0, 3),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nbx
-from nbx import Family, TernaryString, families, strings
+from nbx import Family, TernaryString, families, search, strings
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,7 +29,7 @@ def test_readme_examples():
 
 PUBLIC = [
     "BicliqueCover", "Bound", "BoundsEntry", "CapacityExceeded", "CoverReport",
-    "EnumerationCapExceeded", "EnumerationIncomplete", "Family", "FragmentPlan",
+    "EnumerationIncomplete", "Family", "FragmentPlan",
     "GreedyProfile", "MValueResult", "NeighborlinessReport", "NoValidSplit", "PascalFinding",
     "SearchConfig", "SearchResult", "TernaryString", "all_jokers", "all_strings",
     "alon_lower", "alon_upper", "ball_family", "ball_lower", "best_bounds", "bounds_table",
@@ -52,3 +52,5 @@ def test_public_surface():
     assert all(hasattr(nbx, name) for name in PUBLIC)
     for owner in (nbx, strings, families, TernaryString, Family):
         assert [name for name in REMOVED if hasattr(owner, name)] == []
+    # CapacityExceeded refuses both the candidate and the family limit
+    assert not hasattr(search, "EnumerationCapExceeded")

@@ -183,25 +183,26 @@ class TestSearchResult:
 
 
 class TestSearchConfig:
-    NAMES = ("budget_nodes", "budget_secs", "symmetry", "max_candidates", "use_known_bounds")
+    NAMES = ("budget_nodes", "budget_secs", "symmetry", "capped", "use_known_bounds")
 
     def test_defaults_and_construction(self):
         cfg = SearchConfig()
-        assert values_of(cfg, self.NAMES) == (None, None, True, 60_000, True)
-        assert SearchConfig(10, 1.5, False, 7, False) == SearchConfig(
-            budget_nodes=10, budget_secs=1.5, symmetry=False, max_candidates=7,
+        assert SearchConfig.__slots__ == self.NAMES
+        assert values_of(cfg, self.NAMES) == (None, None, True, True, True)
+        assert SearchConfig(10, 1.5, False, False, False) == SearchConfig(
+            budget_nodes=10, budget_secs=1.5, symmetry=False, capped=False,
             use_known_bounds=False)
         assert SearchConfig(symmetry=False) != cfg
 
     def test_immutable_and_hashable(self):
         cfg = SearchConfig()
         with pytest.raises(AttributeError):
-            cfg.max_candidates = 1 << 62
+            cfg.capped = False
         with pytest.raises(AttributeError):
             del cfg.symmetry
-        assert cfg.max_candidates == 60_000
+        assert cfg.capped is True
         assert hash(SearchConfig()) == hash(SearchConfig())
-        assert hash(SearchConfig(max_candidates=7)) == hash(SearchConfig(None, None, True, 7))
+        assert hash(SearchConfig(capped=False)) == hash(SearchConfig(None, None, True, False))
 
     def test_budgets_validated(self):
         for kwargs in ({"budget_nodes": 0}, {"budget_nodes": -3}, {"budget_secs": 0},
@@ -212,15 +213,15 @@ class TestSearchConfig:
         assert SearchConfig(budget_nodes=1, budget_secs=1e-9).budget_nodes == 1
 
     def test_pickle_and_deepcopy_round_trip(self):
-        cfg = SearchConfig(10, 1.5, False, 7, False)
+        cfg = SearchConfig(10, 1.5, False, False, False)
         for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
             assert twin == cfg and twin is not cfg
-            assert values_of(twin, self.NAMES) == (10, 1.5, False, 7, False)
+            assert values_of(twin, self.NAMES) == (10, 1.5, False, False, False)
 
     def test_repr(self):
         assert repr(SearchConfig()) == (
             "SearchConfig(budget_nodes=None, budget_secs=None, symmetry=True, "
-            "max_candidates=60000, use_known_bounds=True)")
+            "capped=True, use_known_bounds=True)")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

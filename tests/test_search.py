@@ -7,7 +7,6 @@ import pytest
 
 from nbx import (
     CapacityExceeded,
-    EnumerationCapExceeded,
     EnumerationIncomplete,
     Family,
     SearchConfig,
@@ -342,11 +341,12 @@ class TestMaxFamily:
         result = max_family(2, 5, SearchConfig(use_known_bounds=False))
         assert result.proven_optimal and reads[0] == 2
 
-    def test_capacity_guard(self):
-        cfg = SearchConfig(max_candidates=10)
+    def test_capacity_guard(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_CANDIDATES", 10)
         # 20 candidates: a row set of 20 * 20 / 8 = 50 bytes
-        with pytest.raises(CapacityExceeded, match=r"20 candidates \(adjacency 50 bytes\)"):
-            max_family(2, 3, cfg)
+        with pytest.raises(CapacityExceeded,
+                           match=r"^20 candidates \(adjacency 50 bytes\) .* capacity 10$"):
+            max_family(2, 3)
 
     def test_capacity_guard_counts_before_building(self, monkeypatch):
         # refusing (2,16) must not first build its 3^16 strings
@@ -475,9 +475,10 @@ class TestEnumerateMaxFamilies:
         keys = {frozenset(f.texts()) for f in fams}
         assert len(keys) == len(fams)
 
-    def test_cap_exceeded(self):
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_max_families(2, 3, cap=1)
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 1)
+        with pytest.raises(CapacityExceeded, match="^more than 1 maximum families$"):
+            enumerate_max_families(2, 3)
 
     def test_matches_oracle(self):
         # every maximum clique of the candidate graph, built from symbol-level
@@ -663,18 +664,62 @@ class TestEnumerateMaxFamilies:
             assert len(covered) == len(enumerate_max_families(k, d)), (k, d)
             assert sorted(got) == want, (k, d)
 
-    def test_cap_applies_to_the_walk(self):
+    def test_cap_applies_to_the_walk(self, monkeypatch):
         # the plain walk records all 48 maximum (2,4) families itself
         cfg = SearchConfig(symmetry=False)
-        assert len(enumerate_max_families(2, 4, cfg, cap=48)) == 48
-        with pytest.raises(EnumerationCapExceeded, match="more than 47"):
-            enumerate_max_families(2, 4, cfg, cap=47)
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 48)
+        assert len(enumerate_max_families(2, 4, cfg)) == 48
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 47)
+        with pytest.raises(CapacityExceeded, match="more than 47"):
+            enumerate_max_families(2, 4, cfg)
 
-    def test_cap_applies_to_the_closure(self):
+    def test_cap_applies_to_the_closure(self, monkeypatch):
         # one orbit representative at (2,4) closes to 48 families
-        assert len(enumerate_max_families(2, 4, cap=48)) == 48
-        with pytest.raises(EnumerationCapExceeded, match="more than 47"):
-            enumerate_max_families(2, 4, cap=47)
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 48)
+        assert len(enumerate_max_families(2, 4)) == 48
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 47)
+        with pytest.raises(CapacityExceeded, match="more than 47"):
+            enumerate_max_families(2, 4)
+
+
+class TestCapacitySwitch:
+    def test_capped_false_lifts_both_limits(self, monkeypatch, capsys):
+        from nbx.cli import run
+
+        # (2,4) has 72 candidates and 48 maximum families
+        monkeypatch.setattr(search, "_MAX_CANDIDATES", 71)
+        monkeypatch.setattr(search, "_MAX_FAMILIES", 47)
+        for find in (max_family, enumerate_max_families):
+            with pytest.raises(CapacityExceeded, match="^72 candidates"):
+                find(2, 4)
+        for symmetry in (False, True):
+            cfg = SearchConfig(symmetry=symmetry, capped=False)
+            assert max_family(2, 4, cfg).proven_optimal
+            assert len(enumerate_max_families(2, 4, cfg)) == 48
+        # with the candidates allowed, the family limit holds in the plain walk
+        # (symmetry off) and in the closure (on) until the switch lifts it
+        monkeypatch.setattr(search, "_MAX_CANDIDATES", 72)
+        for symmetry in (False, True):
+            with pytest.raises(CapacityExceeded, match="^more than 47 maximum families$"):
+                enumerate_max_families(2, 4, SearchConfig(symmetry=symmetry))
+
+        # nbx search --force is exactly capped=False, in both modes
+        configs = []
+
+        def recording(find):
+            def recorded(k, d, cfg):
+                configs.append(cfg)
+                return find(k, d, cfg)
+            return recorded
+
+        for name in ("max_family", "_enumerate_indices"):
+            monkeypatch.setattr(search, name, recording(getattr(search, name)))
+        monkeypatch.setattr(search, "_MAX_CANDIDATES", 71)
+        for argv in (["2", "4"], ["2", "4", "--enumerate"]):
+            assert run(["search", *argv]) == 2
+            assert run(["search", *argv, "--force"]) == 0
+        assert configs == [SearchConfig(), SearchConfig(capped=False)] * 2
+        assert capsys.readouterr().err.count("capacity 71 (use --force to override)") == 2
 
 
 class TestVerifyCertificate:
