@@ -20,16 +20,15 @@ import itertools
 from functools import lru_cache, reduce
 from math import comb
 
-from .families import Family, _check_kd, verify_neighborly
+from .families import Family, _check_kd, _is_neighborly, verify_neighborly
 from .strings import TernaryString, _Record, all_jokers
 
 
 def _checked(family: Family, k: int, expected_size: int) -> Family:
     if len(family) != expected_size:
         raise AssertionError(f"construction produced {len(family)} members, expected {expected_size}")
-    report = verify_neighborly(family, k)
-    if not report.is_valid:
-        first = tuple(itertools.islice(report.violations, 3))
+    if not _is_neighborly(family, k):
+        first = tuple(itertools.islice(verify_neighborly(family, k).violations, 3))
         raise AssertionError(f"construction is not {k}-neighborly: {first}")
     return family
 

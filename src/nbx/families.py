@@ -6,11 +6,14 @@ partitions, laminations and total laminations, the signed-sum identity on
 partitions, and the twin-merge reduction of a partition down to the
 single all-joker string.
 
-In this module every pair check is ``verify_neighborly``, its one pair
-loop: a partition is a d-neighborly family of volume 2^d, and a diameter
-is the largest distance in a report.  The loop reads the bit-sliced
-kernel ``_distance_rows``, which the search graph and the biclique cover
-share.  It transposes the family into per-coordinate member bit-sets
+Every pair check here reads the bit-sliced kernel ``_distance_rows``,
+which the search graph and the biclique cover share.  ``verify_neighborly``
+builds the full report; ``_is_neighborly`` decides validity alone (for the
+builders, the search witnesses and ``is_partition``) from the pairs that
+can fail, marking points to find overlaps and running the kernel over
+only the members with fewer than d - k jokers.
+
+The kernel transposes the family into per-coordinate member bit-sets
 ``Z[c]`` and ``O[c]`` (bit j set when member j has 0, resp. 1, at
 coordinate c) and, for each member i, adds ``O[c]`` over the 0-coordinates
 of i and ``Z[c]`` over its 1-coordinates into a vertical counter of
@@ -320,6 +323,51 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_, family.dimension))
 
 
+# Mark while 2^d <= 4·n·d, n the kernel rows it spares: on random partitions,
+# d = 4..18 (CPython 3.11), marking won at 4.0·n·d and lost from 5.2·n·d up.
+_MARKS_PER_ROW_COORD = 4
+
+
+def _is_neighborly(family: Family, k: int) -> bool:
+    """``verify_neighborly(family, k).is_valid``, from the pairs that can fail.
+
+    Distance >= 1 says the subcubes are disjoint: a volume above 2^d fails,
+    and marking each member's points in 2^d bytes finds an overlap, where
+    that costs less than the kernel rows it spares.  A pair farther than k
+    fixes k + 1 coordinates in both, so the kernel then reads only members
+    with fewer than d - k jokers: none at k = d, and at k = d - 1 joker-free
+    words, which fail only as complements, one set lookup each."""
+    d = family.dimension
+    if not family.members:
+        raise ValueError("family must have at least one member")
+    _check_kd(k, d)
+    zs = [m.zero_mask for m in family.members]
+    os_ = [m.one_mask for m in family.members]
+    fixed = list(map(int.bit_count, map(int.__or__, zs, os_)))
+    if sum(1 << d - f for f in fixed) > 1 << d:
+        return False
+    low = [i for i, f in enumerate(fixed) if f > k]  # fewer than d - k jokers
+    spared = len(zs) - (len(low) if k < d - 1 else 0)
+    if 1 << d <= _MARKS_PER_ROW_COORD * spared * d:
+        seen, full = bytearray(1 << d), (1 << d) - 1
+        for z, o in zip(zs, os_):
+            jokers = sub = full ^ z ^ o
+            while True:  # every submask of the jokers: each point of the subcube
+                if seen[o | sub]:
+                    return False
+                seen[o | sub] = 1
+                if not sub:
+                    break
+                sub = (sub - 1) & jokers
+        if k == d - 1:
+            words = {os_[i] for i in low}
+            return not any(full ^ o in words for o in words)
+        zs, os_ = [zs[i] for i in low], [os_[i] for i in low]
+    cols = (1 << len(zs)) - 1
+    return not any(_outside(count, k, cols >> (i + 1) << (i + 1))
+                   for i, count in _distance_rows(zs, os_, d))
+
+
 def volume(family: Family) -> int:
     """Total number of cube points covered, counted with multiplicity:
     the sum of 2^(jokers) over the members."""
@@ -330,7 +378,7 @@ def is_partition(family: Family) -> bool:
     """True iff the subcubes are pairwise disjoint and cover the whole cube:
     a d-neighborly family (no two members at distance 0) of volume 2^d."""
     d = family.dimension
-    return volume(family) == 1 << d and (len(family) == 1 or verify_neighborly(family, d).is_valid)
+    return volume(family) == 1 << d and (len(family) == 1 or _is_neighborly(family, d))
 
 
 def _splits(props: Iterable[int], d: int) -> Iterator[int]:

@@ -46,7 +46,7 @@ from math import comb
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _check_kd, _distance_rows, _outside, verify_neighborly
+from .families import Family, _check_kd, _distance_rows, _is_neighborly, _outside, verify_neighborly
 from .strings import TernaryString, _Record, all_strings
 
 # what a capped search refuses beyond (SearchConfig.capped)
@@ -361,8 +361,8 @@ def _search_candidates(k: int, d: int, cfg: SearchConfig) -> list[TernaryString]
     n = sum(comb(d, j) << d - j for j in range(d - k + 1))
     if cfg.capped and n > _MAX_CANDIDATES:
         raise CapacityExceeded(
-            f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the configured"
-            f" capacity {_MAX_CANDIDATES}"
+            f"{n} candidates (adjacency {n * n // 8:,} bytes) exceed the limit of"
+            f" {_MAX_CANDIDATES} candidates"
         )
     return enumerate_candidates(k, d)
 
@@ -395,7 +395,7 @@ def max_family(k: int, d: int, cfg: SearchConfig | None = None) -> SearchResult:
 
     members = [strings[order[v]] for v in engine.witness] if engine and engine.witness else seed
     witness = Family(d, tuple(sorted(members, key=str)))
-    if len(witness) and not verify_neighborly(witness, k).is_valid:
+    if len(witness) and not _is_neighborly(witness, k):
         raise AssertionError("internal error: witness fails verification")
     proven = stopped in ("complete", "cutoff")
     stats = {
@@ -454,7 +454,7 @@ def _enumerate_indices(
         raise AssertionError("internal error: no family as large as the seed")
     found = [tuple(sorted(order[v] for v in clique)) for clique in engine.found]
     for idxs in found:  # the closure's images keep distances, so only these need a check
-        if not verify_neighborly(Family(d, tuple(strings[i] for i in idxs)), k).is_valid:
+        if not _is_neighborly(Family(d, tuple(strings[i] for i in idxs)), k):
             raise AssertionError("internal error: enumerated family fails verification")
     if cfg.symmetry:
         found = _close_under_group(found, strings, d, limit, deadline)
