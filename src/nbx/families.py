@@ -7,11 +7,12 @@ partitions, and the twin-merge reduction of a partition down to the
 single all-joker string.
 
 Every pair check here reads the bit-sliced kernel ``_distance_rows``,
-which the search graph and the biclique cover share.  ``verify_neighborly``
-builds the full report; ``_is_neighborly`` decides validity alone (for the
-builders, the search witnesses and ``is_partition``) from the pairs that
-can fail, marking points to find overlaps and running the kernel over
-only the members with fewer than d - k jokers.
+which the search graph and the biclique cover share.  ``_screen`` decides
+validity from the pairs that can fail, marking points to find overlaps and
+leaving the kernel only the members with fewer than d - k jokers, whose
+rows ``_is_neighborly`` reads (for the builders, the search witnesses and
+``is_partition``).  ``verify_neighborly`` builds the full report, reading
+rows only until the extremes reach 1 and k where the screen proves it valid.
 
 The kernel transposes the family into per-coordinate member bit-sets
 ``Z[c]`` and ``O[c]`` (bit j set when member j has 0, resp. 1, at
@@ -42,7 +43,7 @@ Everything is read-only over immutable inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import compress, repeat
 
@@ -296,21 +297,25 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
     violating row, a ``Violations``, so they take at most n²/16 bytes of
     masks and two packed words per member rather than a tuple per pair;
     iterate it, or take ``tuple(report.violations)``, to read the triples.
-    A single-member family is vacuously valid.
+    A single-member family is vacuously valid.  Where the decider's
+    screens (``_screen``) prove it valid, rows are read only until the
+    extremes reach 1 and k, which no later row can pass.
     """
     if len(family) < 1:
         raise ValueError("family must have at least one member")
-    _check_kd(k, family.dimension)
+    d = family.dimension
+    _check_kd(k, d)
     zs = [m.zero_mask for m in family.members]
     os_ = [m.one_mask for m in family.members]
+    proven = _screen(zs, os_, d, k) is True
     full = (1 << len(zs)) - 1
-    lo, hi = family.dimension + 1, 0  # beyond every distance; then lo only falls, hi only rises
+    lo, hi = d + 1, 0  # beyond every distance; then lo only falls, hi only rises
     rows = []
-    for i, count in _distance_rows(zs, os_, family.dimension):
+    for i, count in _distance_rows(zs, os_, d):
         upper = full >> (i + 1) << (i + 1)
         if not upper:
             continue
-        out = _outside(count, k, upper)
+        out = 0 if proven else _outside(count, k, upper)
         # a row inside [1, k] cannot take lo below 1 or hi above k
         if lo > 1 or lo and out:
             lo = min(lo, _min_in(count, upper))
@@ -318,9 +323,11 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
             hi = max(hi, _max_in(count, upper))
         if out:
             rows.append((i, out))
+        if proven and lo == 1 and hi == k:
+            break
     if len(zs) == 1:
         lo = hi = None
-    return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_, family.dimension))
+    return NeighborlinessReport(not rows, lo, hi, Violations(rows, zs, os_, d))
 
 
 # Mark while 2^d <= 4·n·d, n the kernel rows it spares: on random partitions,
@@ -328,41 +335,55 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
 _MARKS_PER_ROW_COORD = 4
 
 
-def _is_neighborly(family: Family, k: int) -> bool:
-    """``verify_neighborly(family, k).is_valid``, from the pairs that can fail.
+def _screen(zs: list[int], os_: list[int], d: int, k: int) -> bool | Sequence[int]:
+    """k-neighborliness of the members with these masks, True or False,
+    where cheap screens decide it; else the members whose kernel rows
+    must still be read.
 
     Distance >= 1 says the subcubes are disjoint: a volume above 2^d fails,
     and marking each member's points in 2^d bytes finds an overlap, where
     that costs less than the kernel rows it spares.  A pair farther than k
-    fixes k + 1 coordinates in both, so the kernel then reads only members
-    with fewer than d - k jokers: none at k = d, and at k = d - 1 joker-free
+    fixes k + 1 coordinates in both, so marking leaves only members with
+    fewer than d - k jokers: none at k = d, and at k = d - 1 joker-free
     words, which fail only as complements, one set lookup each."""
+    every = range(len(zs))
+    if 1 << d > _MARKS_PER_ROW_COORD * len(zs) * d:  # even sparing every row
+        return every
+    fixed = list(map(int.bit_count, map(int.__or__, zs, os_)))
+    if sum(1 << d - f for f in fixed) > 1 << d:
+        return False
+    low = [i for i, f in enumerate(fixed) if f > k] if k < d - 1 else []  # fewer than d - k jokers
+    if 1 << d > _MARKS_PER_ROW_COORD * (len(zs) - len(low)) * d:
+        return every
+    seen, full = bytearray(1 << d), (1 << d) - 1
+    for z, o in zip(zs, os_):
+        jokers = sub = full ^ z ^ o
+        while True:  # every submask of the jokers: each point of the subcube
+            if seen[o | sub]:
+                return False
+            seen[o | sub] = 1
+            if not sub:
+                break
+            sub = (sub - 1) & jokers
+    if k == d - 1:
+        words = {o for o, f in zip(os_, fixed) if f == d}  # the joker-free words
+        return not any(full ^ o in words for o in words)
+    return low or True
+
+
+def _is_neighborly(family: Family, k: int) -> bool:
+    """``verify_neighborly(family, k).is_valid``: ``_screen``, then the
+    kernel over the rows it leaves, with the diagonal masked out."""
     d = family.dimension
     if not family.members:
         raise ValueError("family must have at least one member")
     _check_kd(k, d)
     zs = [m.zero_mask for m in family.members]
     os_ = [m.one_mask for m in family.members]
-    fixed = list(map(int.bit_count, map(int.__or__, zs, os_)))
-    if sum(1 << d - f for f in fixed) > 1 << d:
-        return False
-    low = [i for i, f in enumerate(fixed) if f > k]  # fewer than d - k jokers
-    spared = len(zs) - (len(low) if k < d - 1 else 0)
-    if 1 << d <= _MARKS_PER_ROW_COORD * spared * d:
-        seen, full = bytearray(1 << d), (1 << d) - 1
-        for z, o in zip(zs, os_):
-            jokers = sub = full ^ z ^ o
-            while True:  # every submask of the jokers: each point of the subcube
-                if seen[o | sub]:
-                    return False
-                seen[o | sub] = 1
-                if not sub:
-                    break
-                sub = (sub - 1) & jokers
-        if k == d - 1:
-            words = {os_[i] for i in low}
-            return not any(full ^ o in words for o in words)
-        zs, os_ = [zs[i] for i in low], [os_[i] for i in low]
+    left = _screen(zs, os_, d, k)
+    if isinstance(left, bool):
+        return left
+    zs, os_ = [zs[i] for i in left], [os_[i] for i in left]
     cols = (1 << len(zs)) - 1
     return not any(_outside(count, k, cols >> (i + 1) << (i + 1))
                    for i, count in _distance_rows(zs, os_, d))

@@ -46,7 +46,7 @@ from math import comb
 
 from .bounds import best_bounds
 from .constructions import realize_mbar
-from .families import Family, _check_kd, _distance_rows, _is_neighborly, _outside, verify_neighborly
+from .families import Family, _check_kd, _distance_rows, _is_neighborly, _outside
 from .strings import TernaryString, _Record, all_strings
 
 # what a capped search refuses beyond (SearchConfig.capped)
@@ -494,13 +494,13 @@ def _close_under_group(families, strings, d: int, limit: float, deadline) -> set
 def verify_certificate(result: SearchResult) -> bool:
     """Re-check a search result from its raw members, independently of the
     search graph and walk: ``Family`` checks their lengths and distinctness,
-    ``verify_neighborly`` their pairwise distances.  A witness that is not an
+    ``_is_neighborly`` their pairwise distances.  A witness that is not an
     iterable of ternary strings, or a k outside 1..d, is rejected."""
     try:
         members = tuple(result.witness)
         if not all(isinstance(m, TernaryString) for m in members):
             return False
         family = Family(result.d, members)
-        return len(family) == result.optimum >= 1 and verify_neighborly(family, result.k).is_valid
+        return len(family) == result.optimum >= 1 and _is_neighborly(family, result.k)
     except (TypeError, ValueError):
         return False

@@ -1,11 +1,15 @@
-"""The validity decider ``families._is_neighborly`` against the full report.
+"""The validity decider ``families._is_neighborly`` and the valid route of
+``verify_neighborly``, against a symbol-level pair oracle.
 
-``_is_neighborly(f, k)`` must equal ``verify_neighborly(f, k).is_valid``
-on every family and every k.  It takes one of two routes: marking the
+``_is_neighborly(f, k)`` must say whether ``_oracles.sym_distance`` puts
+every pair of members in [1, k].  It takes one of two routes: marking the
 points of every member (then the kernel over the members with fewer than
 d - k jokers, or the complement lookup at k = d - 1), or the kernel over
-every pair.  The property runs with the measured threshold and with each
-route forced, so both are checked on the same examples.  Hypothesis runs
+every pair.  ``verify_neighborly`` asks the same screens first, and where
+they prove the family valid it reads rows only until the extremes reach 1
+and k; each of its report fields must still equal the oracle's.  The
+properties run with the measured threshold and with each route forced,
+so every route is checked on the same examples.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
 
@@ -17,12 +21,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbx import Family, TernaryString, canonical, extremal_dminus1, is_partition, verify_neighborly
+from nbx import (Family, TernaryString, canonical, extremal_dminus1, is_partition, realize_mbar,
+                 verify_neighborly)
 from nbx import families
 from nbx.constructions import _checked
 from nbx.families import _is_neighborly
 
-from _oracles import all_cube_partitions, sym_partition, twin_split_partition
+from _oracles import all_cube_partitions, sym_distance, sym_partition, twin_split_partition
 
 DECIDER = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -30,12 +35,34 @@ DECIDER = settings(derandomize=True, max_examples=200, deadline=None, database=N
 THRESHOLDS = (0, families._MARKS_PER_ROW_COORD, 1 << 20)
 
 
-def decide_on_every_route(fam: Family, k: int) -> list[bool]:
+def on_every_route(check, fam: Family, k: int) -> list:
     out = []
     for factor in THRESHOLDS:
         with mock.patch.object(families, "_MARKS_PER_ROW_COORD", factor):
-            out.append(_is_neighborly(fam, k))
+            out.append(check(fam, k))
     return out
+
+
+def decide_on_every_route(fam: Family, k: int) -> list[bool]:
+    return on_every_route(_is_neighborly, fam, k)
+
+
+def oracle_pairs(words: list[str]) -> list[tuple[int, int, int]]:
+    """``(i, j, dist)`` for every pair i < j, in (i, j) order, by ``sym_distance``."""
+    return [(i, j, sym_distance(a, b)) for i, a in enumerate(words)
+            for j, b in enumerate(words[i + 1:], i + 1)]
+
+
+def oracle_report(pairs: list[tuple[int, int, int]], k: int) -> tuple:
+    """The report's four fields, from the oracle's pairs."""
+    bad = [p for p in pairs if not 1 <= p[2] <= k]
+    dists = [x for _, _, x in pairs]
+    return not bad, min(dists, default=None), max(dists, default=None), bad
+
+
+def report_fields(fam: Family, k: int) -> tuple:
+    report = verify_neighborly(fam, k)
+    return report.is_valid, report.min_distance, report.max_distance, list(report.violations)
 
 
 @st.composite
@@ -66,19 +93,100 @@ def families_and_k(draw):
 @example((Family.of(["000", "111", "01*"]), 2))  # a complement pair at k = d - 1
 @example((Family.of(["0000", "1100", "0011"]), 3))  # joker-free, distances 2 and 4
 @example((Family.of(["00*0", "11*1", "10**"]), 2))  # low-joker pair at distance 3
-def test_decider_matches_the_report(fam_and_k):
+def test_decider_matches_the_pair_oracle(fam_and_k):
     fam, k = fam_and_k
-    expected = verify_neighborly(fam, k).is_valid
+    expected = all(1 <= x <= k for _, _, x in oracle_pairs(fam.texts()))
     assert decide_on_every_route(fam, k) == [expected] * len(THRESHOLDS)
 
 
 def test_valid_and_invalid_extremal_families():
     for d in range(2, 11):
         fam = extremal_dminus1(d)
+        pairs = oracle_pairs(fam.texts())
         for k in range(1, d + 1):
-            expected = verify_neighborly(fam, k).is_valid
+            expected = all(1 <= x <= k for _, _, x in pairs)
             assert expected == (k >= d - 1)
             assert decide_on_every_route(fam, k) == [expected] * len(THRESHOLDS)
+            if k >= d - 1:
+                want = oracle_report(pairs, k)
+                assert on_every_route(report_fields, fam, k) == [want] * len(THRESHOLDS)
+
+
+def assert_reports_match_oracle(fam: Family) -> None:
+    """Every report field at every k, on every route, equals the oracle's."""
+    pairs = oracle_pairs(fam.texts())
+    for k in range(1, fam.dimension + 1):
+        want = oracle_report(pairs, k)
+        assert on_every_route(report_fields, fam, k) == [want] * len(THRESHOLDS), (fam.texts(), k)
+
+
+def test_reports_on_partitions():
+    # partitions are d-neighborly, so the screen proves them valid at k = d
+    # (and at k = d - 1 unless two joker-free words are complements)
+    rng = random.Random(40)
+    for d in range(1, 9):
+        for _ in range(6):
+            assert_reports_match_oracle(twin_split_partition(d, rng, max_members=40))
+    for members in all_cube_partitions(3):
+        assert_reports_match_oracle(Family(3, members))
+
+
+@pytest.mark.parametrize("words, k, lo, hi", [
+    # the 8 even-weight words of d = 4: no pair at distance 1, so lo never
+    # reaches 1 and every row is read
+    (["0000", "0011", "0101", "0110", "1001", "1010", "1100", "1111"], 4, 2, 4),
+    # the first row in trie order, 000, reaches k = 3 with its minimum at 2;
+    # distance 1 lies in a later row
+    (["000", "011", "110", "111"], 3, 1, 3),
+    # extremal(4) is 3-neighborly, so at k = 4 hi never reaches k
+    (extremal_dminus1(4).texts(), 4, 1, 3),
+    (["*"], 1, None, None),  # one member
+    (["01*"], 3, None, None),
+    (["01*", "10*"], 2, 2, 2),  # two members
+    (["01*", "11*"], 3, 1, 1),
+])
+def test_valid_route_edge_cases(words, k, lo, hi):
+    fam = Family.of(words)
+    zs, os_ = [m.zero_mask for m in fam], [m.one_mask for m in fam]
+    assert families._screen(zs, os_, fam.dimension, k) is True  # the valid route is taken
+    assert report_fields(fam, k) == (True, lo, hi, [])
+    assert_reports_match_oracle(fam)
+
+
+def count_rows(monkeypatch) -> list[int]:
+    """Wrap the kernel: one entry per call, the number of rows it yielded."""
+    calls = []
+    real = families._distance_rows
+
+    def rows(zs, os_, d):
+        calls.append(0)
+        for row in real(zs, os_, d):
+            calls[-1] += 1
+            yield row
+
+    monkeypatch.setattr(families, "_distance_rows", rows)
+    return calls
+
+
+def test_valid_route_stops_at_the_extremes(monkeypatch):
+    # the kernel yields rows in trie order, so the shuffle does not move the count
+    words = extremal_dminus1(10).texts()
+    random.Random(10).shuffle(words)
+    fam = Family.of(words)
+    calls = count_rows(monkeypatch)
+    assert report_fields(fam, 9) == (True, 1, 9, [])
+    assert len(calls) == 1 and calls[0] < 10
+
+
+def test_unscreened_family_reads_every_row_once(monkeypatch):
+    # realize_mbar(4, 16) is 4-neighborly, and marking 2^16 points costs more
+    # than its 729 rows: the screen leaves it to the kernel, and verify runs
+    # its one pass over every row and no pass of the decider's
+    fam = realize_mbar(4, 16)
+    calls = count_rows(monkeypatch)
+    report = verify_neighborly(fam, 8)
+    assert (report.is_valid, report.min_distance, report.max_distance) == (True, 1, 4)
+    assert calls == [729]
 
 
 def test_input_errors_match_the_report():
