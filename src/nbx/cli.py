@@ -133,16 +133,25 @@ def _rows_out(rows: list[list[str]], header: list[str], fmt: str) -> None:
     _write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
 
-def _emit_table(args, records, header: list[str], row) -> None:
+def _table_row(record) -> list[str]:
+    """The cells of a record's table row: its ``as_dict()`` values in order,
+    a nested dict's values inlined, and booleans as yes/no."""
+    values = chain.from_iterable(v.values() if isinstance(v, dict) else (v,)
+                                 for v in record.as_dict().values())
+    return [("yes" if x else "no") if isinstance(x, bool) else str(x) for x in values]
+
+
+def _emit_table(args, records, header: list[str]) -> None:
     """Write records as --json (each one's ``as_dict()``), as --tsv, or, with
     neither, as TSV when piped and aligned on a terminal; each table row is
-    ``row(record)``.  A single record, not in a list, is written as one dict."""
+    ``_table_row(record)``.  A single record, not in a list, is written as
+    one dict."""
     many = isinstance(records, list)
     if args.json:
         _emit_json([r.as_dict() for r in records] if many else records.as_dict())
         return
     fmt = "tsv" if args.tsv or not sys.stdout.isatty() else "human"
-    _rows_out([row(r) for r in (records if many else [records])], header, fmt)
+    _rows_out([_table_row(r) for r in (records if many else [records])], header, fmt)
 
 
 def _block_lengths(text: str) -> tuple[int, ...]:
@@ -247,36 +256,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.is_valid else 1
 
 
-def _entry_row(entry: bounds.BoundsEntry) -> list[str]:
-    return [
-        str(entry.k),
-        str(entry.d),
-        str(entry.lower.value),
-        entry.lower.method,
-        str(entry.upper.value),
-        entry.upper.method,
-        "yes" if entry.exact else "no",
-    ]
-
-
 _TABLE_HEADER = ["k", "d", "lower", "lower_method", "upper", "upper_method", "exact"]
-
-
-def _finding_row(f: bounds.PascalFinding) -> list[str]:
-    return [str(f.k), str(f.d), str(f.lhs), str(f.rhs), str(f.slack),
-            "yes" if f.violated else "no"]
-
-
 _AUDIT_HEADER = ["k", "d", "lhs", "rhs", "slack", "violated"]
 
 
 def _cmd_bounds(args) -> int:
-    _emit_table(args, bounds.best_bounds(args.k, args.d), _TABLE_HEADER, _entry_row)
+    _emit_table(args, bounds.best_bounds(args.k, args.d), _TABLE_HEADER)
     return 0
 
 
 def _cmd_table(args) -> int:
-    _emit_table(args, bounds.bounds_table(args.kmax, args.dmax), _TABLE_HEADER, _entry_row)
+    _emit_table(args, bounds.bounds_table(args.kmax, args.dmax), _TABLE_HEADER)
     return 0
 
 
@@ -315,7 +305,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_audit(args) -> int:
     findings = bounds.pascal_audit(bounds.bounds_table(args.kmax, args.dmax))
-    _emit_table(args, findings, _AUDIT_HEADER, _finding_row)
+    _emit_table(args, findings, _AUDIT_HEADER)
     violated = sum(1 for f in findings if f.violated)
     if violated:
         print(f"{violated} violation(s) found", file=sys.stderr)

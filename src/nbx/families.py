@@ -8,11 +8,13 @@ single all-joker string.
 
 Every pair check here reads the bit-sliced kernel ``_distance_rows``,
 which the search graph and the biclique cover share.  ``_screen`` decides
-validity from the pairs that can fail, marking points to find overlaps and
-leaving the kernel only the members with fewer than d - k jokers, whose
-rows ``_is_neighborly`` reads (for the builders, the search witnesses and
-``is_partition``).  ``verify_neighborly`` builds the full report, reading
-rows only until the extremes reach 1 and k where the screen proves it valid.
+validity from the pairs that can fail: a volume above 2^d fails at once,
+and where marking points costs less than the kernel rows it spares, it
+finds overlaps and leaves the kernel only the members with fewer than
+d - k jokers, whose rows ``_is_neighborly`` reads (for the builders, the
+search witnesses and ``is_partition``).  ``verify_neighborly`` builds the
+full report, reading rows only until the extremes reach 1 and k where the
+screen proves it valid.
 
 The kernel transposes the family into per-coordinate member bit-sets
 ``Z[c]`` and ``O[c]`` (bit j set when member j has 0, resp. 1, at
@@ -28,9 +30,9 @@ coordinate 0 first), and each row restarts from the counter of the
 longest prefix it shares with the previous one, so a structured family
 pays for each distinct prefix once.  The counters are shared between
 rows and read-only to callers.  Comparisons on the counter (``_outside``,
-``_max_in``, ``_min_in``, ``_by_distance``) give the columns outside the
-window [1, k], the extreme distances, and the columns split by exact
-distance.
+``_max_in``, ``_by_distance``) give the columns outside the window [1, k],
+the largest distance, and the columns split by exact distance; the
+smallest distance is the largest of the complemented counter.
 
 A failing check keeps its violating pairs as one column mask per row, a
 ``Violations``, read by iteration and ``len``.  It expands a row into its
@@ -69,16 +71,14 @@ class Family(_Record):
     # -- construction -------------------------------------------------
 
     @classmethod
-    def of(cls, members: Iterable, dimension: int | None = None) -> "Family":
-        """Build from strings or their text forms; dimension inferred if omitted."""
+    def of(cls, members: Iterable) -> "Family":
+        """Build from strings or their text forms, of the first one's length."""
         parsed = tuple(
             m if isinstance(m, TernaryString) else TernaryString.parse(str(m)) for m in members
         )
-        if dimension is None:
-            if not parsed:
-                raise ValueError("cannot infer dimension of an empty family")
-            dimension = parsed[0].length
-        return cls(dimension, parsed)
+        if not parsed:
+            raise ValueError("cannot infer dimension of an empty family")
+        return cls(parsed[0].length, parsed)
 
     @classmethod
     def from_nbx(cls, text: str) -> "Family":
@@ -187,18 +187,6 @@ def _max_in(count: list[int], mask: int) -> int:
             mask = hit
             best |= 1 << b
     return best
-
-
-def _min_in(count: list[int], mask: int) -> int:
-    """Smallest distance of a counter over the nonempty column set ``mask``."""
-    low = 0
-    for b in range(len(count) - 1, -1, -1):
-        miss = mask & ~count[b]
-        if miss:
-            mask = miss
-        else:
-            low |= 1 << b
-    return low
 
 
 def _by_distance(count: list[int], mask: int) -> list[tuple[int, int]]:
@@ -318,7 +306,8 @@ def verify_neighborly(family: Family, k: int) -> NeighborlinessReport:
         out = 0 if proven else _outside(count, k, upper)
         # a row inside [1, k] cannot take lo below 1 or hi above k
         if lo > 1 or lo and out:
-            lo = min(lo, _min_in(count, upper))
+            # one extreme routine: the complemented counter holds 2^w - 1 - dist
+            lo = min(lo, (1 << len(count)) - 1 - _max_in([~s for s in count], upper))
         if hi < k or out:
             hi = max(hi, _max_in(count, upper))
         if out:
@@ -340,21 +329,20 @@ def _screen(zs: list[int], os_: list[int], d: int, k: int) -> bool | Sequence[in
     where cheap screens decide it; else the members whose kernel rows
     must still be read.
 
-    Distance >= 1 says the subcubes are disjoint: a volume above 2^d fails,
-    and marking each member's points in 2^d bytes finds an overlap, where
-    that costs less than the kernel rows it spares.  A pair farther than k
-    fixes k + 1 coordinates in both, so marking leaves only members with
-    fewer than d - k jokers: none at k = d, and at k = d - 1 joker-free
-    words, which fail only as complements, one set lookup each."""
-    every = range(len(zs))
-    if 1 << d > _MARKS_PER_ROW_COORD * len(zs) * d:  # even sparing every row
-        return every
+    Distance >= 1 says the subcubes are disjoint, so first, at every d, a
+    volume above 2^d fails.  A pair farther than k fixes k + 1 coordinates
+    in both, so only members with fewer than d - k jokers can fail that
+    way: none at k = d, and at k = d - 1 joker-free words, which fail only
+    as complements, one set lookup each.  Marking every member's points in
+    2^d bytes finds an overlap and spares the other members' kernel rows;
+    one threshold runs it only where it costs less than those rows, and
+    otherwise leaves every member's row to the kernel."""
     fixed = list(map(int.bit_count, map(int.__or__, zs, os_)))
     if sum(1 << d - f for f in fixed) > 1 << d:
         return False
     low = [i for i, f in enumerate(fixed) if f > k] if k < d - 1 else []  # fewer than d - k jokers
     if 1 << d > _MARKS_PER_ROW_COORD * (len(zs) - len(low)) * d:
-        return every
+        return range(len(zs))
     seen, full = bytearray(1 << d), (1 << d) - 1
     for z, o in zip(zs, os_):
         jokers = sub = full ^ z ^ o

@@ -267,7 +267,7 @@ def writer_case(name: str):
         fam = constructions.extremal_dminus1(10)
         return cli._emit_cover, (fam,), dumped(biclique.family_to_cover(fam).as_dict())
     if name == "table":  # the pin of `table --kmax 40 --dmax 40 --tsv`
-        rows = [cli._entry_row(e) for e in bounds.bounds_table(40, 40)]
+        rows = [cli._table_row(e) for e in bounds.bounds_table(40, 40)]
         return cli._rows_out, (rows, cli._TABLE_HEADER, "tsv"), (
             39_059, "04f7d5f26618694ec4d0f47798cf5fb5f655b81fa05e7f84eb83c917184cefe9")
     # reduce: the pin of `construct extremal 5 | reduce -`

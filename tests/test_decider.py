@@ -189,6 +189,16 @@ def test_unscreened_family_reads_every_row_once(monkeypatch):
     assert calls == [729]
 
 
+def test_over_volume_family_fails_before_the_kernel(monkeypatch):
+    # volume 2^12 + 2^11 > 2^12, and marking would not pay (2^12 > 4·2·12):
+    # the volume test alone decides, and no kernel row is read
+    fam = Family.of(["*" * 12, "0" + "*" * 11])
+    calls = count_rows(monkeypatch)
+    assert not _is_neighborly(fam, 12)
+    assert calls == []
+    assert tuple(verify_neighborly(fam, 12).violations) == ((0, 1, 0),)
+
+
 def test_input_errors_match_the_report():
     for fam, k in ((Family(3, ()), 1), (Family.of(["01"]), 0), (Family.of(["01"]), 3)):
         with pytest.raises(ValueError) as full:

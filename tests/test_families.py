@@ -65,7 +65,7 @@ class TestFamilyContainer:
     def test_empty_needs_dimension(self):
         with pytest.raises(ValueError):
             Family.of([])
-        assert len(Family.of([], dimension=3)) == 0
+        assert len(Family(3, ())) == 0
 
     def test_membership(self):
         assert TernaryString.parse("01*") in C3
@@ -105,7 +105,7 @@ class TestVerifyNeighborly:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
-            verify_neighborly(Family.of([], dimension=2), 1)
+            verify_neighborly(Family(2, ()), 1)
 
     def test_report_json_shape(self):
         report = verify_neighborly(Family.of(["00", "11"]), 1)

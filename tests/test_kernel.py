@@ -140,6 +140,12 @@ def test_rows_of_one_member_and_of_length_one():
 @example((["00", "01", "1*", "11"], 2))
 # row 000 takes the maximum to k = 1; the later row 111 holds only 3 and 2
 @example((["111", "000", "001"], 1))
+# complements at d = 2^w - 1 set every slice of the w-slice counter, so the
+# complemented counter that gives the smallest distance is all zeros
+@example((["0", "1"], 1))
+@example((["000", "111"], 3))
+@example((["0" * 7, "1" * 7], 7))
+@example((["0" * 15, "1" * 15], 15))
 def test_verify_neighborly(words_and_k):
     words, k = words_and_k
     fam = Family.of(words)
